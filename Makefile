@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check vet race bench bench-alloc bench-smoke bench-scaling bench-memory benchgate trace-smoke trace-replay-smoke traffic-smoke fmt
+.PHONY: all build test check vet race bench bench-alloc bench-smoke bench-scaling bench-memory benchgate trace-smoke trace-replay-smoke traffic-smoke poison-smoke fmt
 
 all: check
 
@@ -22,10 +22,11 @@ race:
 
 # The repo's gate: static checks, a fast allocation smoke pass, the
 # tracing smoke pass, the trace-replay determinism smoke pass, the
-# race-enabled suite, the benchmark regression gate, and the multi-core
-# scaling gate. The smoke passes run before the (slow) race suite so
-# allocation and trace-pipeline regressions fail fast.
-check: vet bench-smoke trace-smoke trace-replay-smoke traffic-smoke race benchgate bench-scaling bench-memory
+# buffer-poisoning smoke pass, the race-enabled suite, the benchmark
+# regression gate, and the multi-core scaling gate. The smoke passes run
+# before the (slow) race suite so allocation, trace-pipeline and
+# buffer-reuse regressions fail fast.
+check: vet bench-smoke trace-smoke trace-replay-smoke traffic-smoke poison-smoke race benchgate bench-scaling bench-memory
 
 # Analysis/figure regeneration benchmarks (shares one campaign per run).
 bench:
@@ -97,6 +98,16 @@ traffic-smoke:
 	$(GO) run ./cmd/h3cdn-measure $(TRAFFIC_SMOKE_FLAGS) -traffic-checkpoint .traffic-smoke/ckpt -o .traffic-smoke/resumed.json
 	cmp .traffic-smoke/seq.json .traffic-smoke/resumed.json
 	rm -rf .traffic-smoke
+
+# Buffer-poisoning smoke pass: the five pinned determinism goldens (plus
+# the arena balance check and the transport/HTTP layer suites) built with
+# -tags h3cdnpoison, which fills every recycled buffer with 0xA5 — on
+# bufpool.Arena.Put, and on a TCP send array's last hold release. A read
+# of recycled memory then changes parsed bytes and fails a golden hash.
+POISON_GOLDENS = ^(TestCampaignGoldenDataset|TestImpairedCampaignGoldenDataset|TestCampaignGoldenTraces|TestTraceLinkCampaignGoldenDataset|TestTrafficGoldenDataset|TestArenaBalancedAfterVisits)$$
+poison-smoke:
+	$(GO) test -tags h3cdnpoison -count=1 ./internal/bufpool ./internal/tcpsim ./internal/tlssim ./internal/quicsim ./internal/httpsim
+	$(GO) test -tags h3cdnpoison -count=1 -run '$(POISON_GOLDENS)' ./internal/core
 
 # Tracing smoke pass: run a small traced campaign through h3cdn-measure
 # -qlog and validate every emitted qlog line with qlogcheck.

@@ -64,6 +64,7 @@ func (a *Arena) Put(buf []byte) {
 	}
 	a.stats.Puts++
 	a.stats.InUse--
+	Poison(buf[:cap(buf)])
 	c := capClass(cap(buf))
 	if c < 0 {
 		return

@@ -58,6 +58,7 @@ func Get(n int) []byte {
 // Put recycles a buffer obtained from Get (or any buffer whose capacity
 // is an exact size class). Callers must not use buf afterwards.
 func Put(buf []byte) {
+	Poison(buf[:cap(buf)])
 	c := capClass(cap(buf))
 	if c < 0 {
 		return

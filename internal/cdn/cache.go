@@ -28,14 +28,17 @@ type lruNode[K comparable] struct {
 	prev, next *lruNode[K]
 }
 
-// NewLRUCache returns a cache bounded to capacity entries (min 1).
+// NewLRUCache returns a cache bounded to capacity entries (min 1). The
+// index map grows with use rather than being sized to capacity: an edge
+// cache in a short-lived universe rarely fills, and nothing iterates
+// the map (recency order lives in the list).
 func NewLRUCache[K comparable](capacity int) *LRUCache[K] {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &LRUCache[K]{
 		capacity: capacity,
-		items:    make(map[K]*lruNode[K], capacity),
+		items:    make(map[K]*lruNode[K]),
 	}
 }
 

@@ -4,8 +4,12 @@ import (
 	"encoding/json"
 	"sync"
 	"testing"
+	"time"
 
 	"h3cdn/internal/browser"
+	"h3cdn/internal/seqrand"
+	"h3cdn/internal/sketch"
+	"h3cdn/internal/traffic"
 	"h3cdn/internal/webgen"
 )
 
@@ -42,6 +46,53 @@ func TestArenaBalancedAfterVisits(t *testing.T) {
 				t.Fatalf("arena gets %d != puts %d", st.Gets, st.Puts)
 			}
 			t.Logf("mode %s: gets=puts=%d news=%d high-water=%d", mode, st.Gets, st.News, st.HighWater)
+		})
+	}
+
+	// Open loop: the population engine runs a whole epoch in one
+	// Sched.Run, visits overlapping and no visit-boundary Rewind between
+	// them, so buffers must come back as soon as nothing reads them.
+	// Once the scheduler drains, neither the arena nor any TCP send
+	// array may still be held.
+	for _, mode := range []browser.Mode{browser.ModeH2, browser.ModeH3} {
+		t.Run(mode.String()+"-traffic-epoch", func(t *testing.T) {
+			tc := traffic.Config{
+				Users: 16, ArrivalRate: 4, Duration: 10 * time.Second, EpochInterval: 10 * time.Second,
+				ThinkTime: time.Second, SessionVisits: 2,
+			}.WithDefaults()
+			u, err := NewUniverse(UniverseConfig{Seed: 13, Corpus: corpus, EdgeTTL: tc.CacheTTL})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer u.Close()
+			acc := sketch.NewAccumulator(sketch.DefaultAlpha)
+			en := &trafficEngine{
+				u: u, tc: tc, corpus: corpus, mode: mode, probe: "arena/0",
+				endAbs:   tc.EpochInterval,
+				group:    acc.Group(sketch.Key{Mode: mode.String(), Vantage: "arena"}),
+				counters: &traffic.Counters{}, epoch: &traffic.EpochStat{},
+				userMem: make(map[int][]string),
+			}
+			src := seqrand.New(13).Sub("traffic")
+			for i, a := range traffic.Arrivals(src, 0, tc.ArrivalRate, tc.Users, tc, 0, tc.EpochInterval) {
+				user := a.User
+				sess := traffic.NewSession(src.Stream("session", "0", seqrand.Label("a", i)), len(corpus.Pages), tc)
+				u.Sched.After(a.At, func() { en.startSession(user, sess) })
+			}
+			if _, err := u.Sched.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if en.counters.VisitsCompleted < 10 || en.inFlight != 0 {
+				t.Fatalf("epoch completed %d visits with %d in flight; want a drained, busy epoch",
+					en.counters.VisitsCompleted, en.inFlight)
+			}
+			if st := u.Pools().Arena.Stats(); st.InUse != 0 {
+				t.Fatalf("arena in use %d after the epoch drained, want 0 (gets %d, puts %d)", st.InUse, st.Gets, st.Puts)
+			}
+			if h := u.Pools().TCP.Held(); h != 0 {
+				t.Fatalf("%d send-array holds outstanding after the epoch drained, want 0", h)
+			}
+			t.Logf("mode %s: %d visits in one epoch, arena gets=puts=%d", mode, en.counters.VisitsCompleted, u.Pools().Arena.Stats().Gets)
 		})
 	}
 }

@@ -512,13 +512,21 @@ func stitchOffsets(jobs []shardJob) ([]int, map[browser.Mode]int) {
 
 // newStitchDataset preallocates the dataset shard results stream into:
 // full-length per-mode page (and phase) slices, filled in place by offset
-// as shards complete — one allocation per mode regardless of shard count.
+// as shards complete — allocated once regardless of shard count.
 // Under sampled or disabled retention the retained page count is unknown
 // up front (and the full-length preallocation would itself be the
 // O(pages) memory the policy exists to avoid), so slices start nil and
 // stitchRetained appends to them.
 func newStitchDataset(cfg CampaignConfig, corpus *webgen.Corpus, perMode map[browser.Mode]int) *Dataset {
-	ds := &Dataset{
+	// The Dataset shares one allocation with the har.Log values of the
+	// default two modes, and every mode's pages share one backing array
+	// (three-index sub-slices, so no mode can append into the next).
+	blk := &struct {
+		ds   Dataset
+		logs [2]har.Log
+	}{}
+	ds := &blk.ds
+	*ds = Dataset{
 		Seed:        cfg.Seed,
 		Consecutive: cfg.Consecutive,
 		Corpus:      corpus,
@@ -527,11 +535,26 @@ func newStitchDataset(cfg CampaignConfig, corpus *webgen.Corpus, perMode map[bro
 	if cfg.TracePhases {
 		ds.Phases = make(map[browser.Mode][]trace.PhaseBreakdown, len(cfg.Modes))
 	}
+	logs := blk.logs[:]
+	if len(cfg.Modes) > len(logs) {
+		logs = make([]har.Log, len(cfg.Modes))
+	}
 	prealloc := cfg.Retention.Kind == har.RetainAll && cfg.Traffic == nil
-	for _, mode := range cfg.Modes {
-		ds.Logs[mode] = &har.Log{Seed: cfg.Seed}
+	var pages []har.PageLog
+	if prealloc {
+		total := 0
+		for _, mode := range cfg.Modes {
+			total += perMode[mode]
+		}
+		pages = make([]har.PageLog, total)
+	}
+	for i, mode := range cfg.Modes {
+		logs[i].Seed = cfg.Seed
+		ds.Logs[mode] = &logs[i]
 		if prealloc {
-			ds.Logs[mode].Pages = make([]har.PageLog, perMode[mode])
+			n := perMode[mode]
+			logs[i].Pages = pages[:n:n]
+			pages = pages[n:]
 		}
 		if cfg.TracePhases {
 			ds.Phases[mode] = nil

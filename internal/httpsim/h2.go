@@ -169,7 +169,7 @@ func (c *h2Client) parse(data []byte) {
 				c.finish(b.streamID, p)
 			}
 		case blockData:
-			p.bodyLeft -= len(b.payload)
+			p.bodyLeft -= b.size
 			if p.bodyLeft <= 0 && b.flags&flagEndStream != 0 {
 				c.finish(b.streamID, p)
 			}

@@ -43,7 +43,7 @@ type h3Stream struct {
 }
 
 // reset clears per-request state for pooling, keeping the parser's
-// capped buffers and the bound data callback.
+// buffers and the bound data callback.
 func (st *h3Stream) reset() {
 	st.parser.rewind()
 	parser, dataFn := st.parser, st.dataFn
@@ -179,7 +179,7 @@ func (c *h3Client) parseStreamData(st *h3Stream, data []byte) {
 				return
 			}
 		case blockData:
-			st.bodyLeft -= len(b.payload)
+			st.bodyLeft -= b.size
 			if st.gotMeta && st.bodyLeft <= 0 {
 				c.finish(st)
 				return

@@ -243,69 +243,105 @@ func writeBodyBlock(a *bufpool.Arena, w blockWriter, streamID uint32, flags uint
 }
 
 // blockParser incrementally decodes framed blocks from a byte stream.
+// Only block headers and non-DATA blocks are accumulated: DATA payloads
+// are counted down straight from the incoming bytes (body bytes are
+// never inspected), and a DATA block is emitted — with its size, no
+// payload — in the feed call that delivers its last byte.
 type blockParser struct {
-	acc    []byte
-	off    int     // consumed prefix of acc; compacted before each append
-	blocks []block // reused result slice handed out by feed
+	acc      []byte  // partial header, or a partial non-DATA block
+	off      int     // consumed prefix of acc; compacted before each append
+	blocks   []block // reused result slice handed out by feed
+	data     block   // DATA block whose payload is being counted down
+	dataLeft int     // payload bytes of data still to arrive
 }
 
 type block struct {
 	typ      blockType
 	streamID uint32
 	flags    uint8
-	payload  []byte
+	size     int    // payload length
+	payload  []byte // nil for blockData
 }
 
-// feed appends data and returns all complete blocks. Returned payloads
-// alias the parser's accumulator and the returned slice is reused by the
-// next feed — both are only valid until then. (Safe here: data delivery
-// is a scheduler event, so a callback iterating the result can never
-// re-enter feed on the same parser.) The consumed prefix is compacted in
-// place before each append so one backing array is reused across the
-// connection's lifetime.
+// feed consumes data and returns all blocks completed by it. Returned
+// payloads alias the parser's accumulator and the returned slice is
+// reused by the next feed — both are only valid until then. (Safe here:
+// data delivery is a scheduler event, so a callback iterating the result
+// can never re-enter feed on the same parser.) data itself is not
+// retained. The consumed prefix is compacted in place before each feed
+// so one backing array is reused across the connection's lifetime;
+// within one feed acc is only appended to, so earlier payloads stay
+// intact.
 func (p *blockParser) feed(data []byte) []block {
 	if p.off > 0 {
 		n := copy(p.acc, p.acc[p.off:])
 		p.acc = p.acc[:n]
 		p.off = 0
 	}
-	p.acc = append(p.acc, data...)
 	out := p.blocks[:0]
 	for {
-		acc := p.acc[p.off:]
-		if len(acc) < blockHeaderSize {
-			p.blocks = out
-			return out
+		if p.dataLeft > 0 {
+			n := min(p.dataLeft, len(data))
+			p.dataLeft -= n
+			data = data[n:]
+			if p.dataLeft > 0 {
+				break
+			}
+			out = append(out, p.data)
 		}
-		plen := int(binary.BigEndian.Uint32(acc[6:10]))
-		if len(acc) < blockHeaderSize+plen {
-			p.blocks = out
-			return out
+		var ok bool
+		if data, ok = p.fill(data, blockHeaderSize); !ok {
+			break
 		}
-		out = append(out, block{
-			typ:      blockType(acc[0]),
-			streamID: binary.BigEndian.Uint32(acc[1:5]),
-			flags:    acc[5],
-			payload:  acc[blockHeaderSize : blockHeaderSize+plen],
-		})
-		p.off += blockHeaderSize + plen
+		hdr := p.acc[p.off:]
+		b := block{
+			typ:      blockType(hdr[0]),
+			streamID: binary.BigEndian.Uint32(hdr[1:5]),
+			flags:    hdr[5],
+			size:     int(binary.BigEndian.Uint32(hdr[6:10])),
+		}
+		if b.typ == blockData {
+			p.off += blockHeaderSize
+			p.data, p.dataLeft = b, b.size
+			if b.size == 0 {
+				out = append(out, b)
+			}
+			continue
+		}
+		if data, ok = p.fill(data, blockHeaderSize+b.size); !ok {
+			break
+		}
+		b.payload = p.acc[p.off+blockHeaderSize : p.off+blockHeaderSize+b.size]
+		p.off += blockHeaderSize + b.size
+		out = append(out, b)
 	}
+	p.blocks = out
+	return out
 }
 
-// rewind clears the parser for reuse across visits, dropping buffers
-// that grew past the pooled cap.
+// fill moves bytes from data into acc until the unconsumed part of acc
+// holds n bytes, returning the rest of data and whether n was reached.
+func (p *blockParser) fill(data []byte, n int) ([]byte, bool) {
+	need := n - (len(p.acc) - p.off)
+	if need <= 0 {
+		return data, true
+	}
+	if len(data) < need {
+		p.acc = append(p.acc, data...)
+		return nil, false
+	}
+	p.acc = append(p.acc, data[:need]...)
+	return data[need:], true
+}
+
+// rewind clears the parser for reuse across visits. Its accumulator
+// only ever holds block headers and header blocks, so the buffer stays
+// small and is kept; stale payload aliases are dropped.
 func (p *blockParser) rewind() {
 	p.off = 0
 	p.acc = p.acc[:0]
-	if cap(p.acc) > maxPooledAcc {
-		p.acc = nil
-		p.blocks = nil
-		return
-	}
-	// Drop stale payload aliases (they may pin an abandoned accumulator
-	// array from a mid-visit growth) before truncating.
-	p.blocks = p.blocks[:cap(p.blocks)]
-	clear(p.blocks)
+	p.data, p.dataLeft = block{}, 0
+	clear(p.blocks[:cap(p.blocks)])
 	p.blocks = p.blocks[:0]
 }
 

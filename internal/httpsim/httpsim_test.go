@@ -367,19 +367,27 @@ func TestHeaderRoundTrip(t *testing.T) {
 }
 
 func TestBlockParserFragmentation(t *testing.T) {
-	full := encodeBlock(blockData, 7, flagEndStream, []byte("hello world"))
+	full := append(encodeBlock(blockHeadersResp, 7, 0, []byte("hello world")),
+		encodeBlock(blockData, 7, flagEndStream, []byte("body bytes"))...)
 	var p blockParser
 	var got []block
-	// Feed one byte at a time.
+	// Feed one byte at a time; header payloads are only valid until the
+	// next feed, so copy them out.
 	for _, c := range full {
-		got = append(got, p.feed([]byte{c})...)
+		for _, b := range p.feed([]byte{c}) {
+			b.payload = append([]byte(nil), b.payload...)
+			got = append(got, b)
+		}
 	}
-	if len(got) != 1 {
+	if len(got) != 2 {
 		t.Fatalf("parsed %d blocks", len(got))
 	}
-	b := got[0]
-	if b.typ != blockData || b.streamID != 7 || b.flags != flagEndStream || string(b.payload) != "hello world" {
-		t.Fatalf("block = %+v", b)
+	if b := got[0]; b.typ != blockHeadersResp || b.streamID != 7 || b.flags != 0 || b.size != 11 || string(b.payload) != "hello world" {
+		t.Fatalf("headers block = %+v", b)
+	}
+	// DATA payloads are counted, not accumulated.
+	if b := got[1]; b.typ != blockData || b.streamID != 7 || b.flags != flagEndStream || b.size != 10 || len(b.payload) != 0 {
+		t.Fatalf("data block = %+v", b)
 	}
 }
 

@@ -6,11 +6,6 @@ import (
 	"h3cdn/internal/tcpsim"
 )
 
-// maxPooledAcc caps the parser accumulator capacity a pooled stream
-// state keeps across visits, so one heavy-tailed body does not pin its
-// high-water buffer in the pool forever.
-const maxPooledAcc = 4 << 20
-
 // Pools aggregates every per-universe allocation arena the HTTP stack
 // and its transports use. One simulation universe owns one Pools; all
 // of its endpoints run on the universe's single scheduler goroutine, so

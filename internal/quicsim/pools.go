@@ -1,5 +1,14 @@
 package quicsim
 
+// Pend-buffer size classes: powers of two from 4KB to 8MB. Growth always
+// routes through growPend, so every pooled pend array has an exact class
+// capacity.
+const (
+	minPendBits = 12 // 4KB
+	maxPendBits = 23 // 8MB
+	pendClasses = maxPendBits - minPendBits + 1
+)
+
 // Pools is a per-universe arena for the transport's per-packet and
 // per-stream records: packets, frames arrays, sentPacket and ackFrame
 // records, streamFrame structs, and Stream objects. One simulation
@@ -20,19 +29,11 @@ package quicsim
 // record; Streams retire at connection teardown but are quarantined on
 // a retired list until the visit-boundary Rewind, because scheduled
 // application callbacks may still touch them until the scheduler drains.
-// maxPooledPend caps the send-buffer capacity a pooled Stream retains
-// across visits.
-const maxPooledPend = 4 << 20
-
-// Pend-buffer size classes: powers of two from 4KB to 8MB. Growth always
-// routes through growPend, so every pooled pend array has an exact class
-// capacity.
-const (
-	minPendBits = 12 // 4KB
-	maxPendBits = 23 // 8MB
-	pendClasses = maxPendBits - minPendBits + 1
-)
-
+// A retired Stream's pend array goes back to its class free list at
+// Rewind rather than staying attached: a pooled Stream that kept its pend
+// would ratchet to the largest body it ever carried, so the pool's
+// footprint would grow with the number of visits instead of with one
+// visit's demand.
 type Pools struct {
 	packets []*packet
 	ackPkts []*packet
@@ -117,8 +118,8 @@ func (pl *Pools) releaseHold(sf *streamFrame) {
 	pl.sframes = append(pl.sframes, sf)
 }
 
-// newStream returns a reset Stream bound to c. The chunks map and the
-// pend buffer are retained across reuses.
+// newStream returns a reset Stream bound to c. The chunks map is
+// retained across reuses.
 func (pl *Pools) newStream(c *Conn, id uint64) *Stream {
 	if pl != nil {
 		if n := len(pl.streams); n > 0 {
@@ -154,15 +155,12 @@ func (pl *Pools) Rewind() {
 		return
 	}
 	for _, s := range pl.retired {
-		pend := s.pend[:0]
-		if cap(pend) > maxPooledPend {
-			// Heavy-tailed bodies: keep the pool's per-stream footprint
-			// bounded rather than retaining the largest body ever sent.
-			pend = nil
+		if cls := pendClass(cap(s.pend)); cls >= 0 {
+			pl.pendBufs[cls] = append(pl.pendBufs[cls], s.pend[:0])
 		}
 		chunks := s.chunks
 		clear(chunks)
-		*s = Stream{pend: pend, chunks: chunks}
+		*s = Stream{chunks: chunks}
 	}
 	pl.streams = append(pl.streams, pl.retired...)
 	clearStreams(pl.retired)

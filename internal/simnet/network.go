@@ -27,9 +27,11 @@ type Packet struct {
 // Releasable is optionally implemented by packet payloads that can be
 // recycled. Ownership of the payload transfers to the network at send
 // time: once the packet has been delivered (the handler returned) or
-// dropped, the network calls Release exactly once. Handlers must not
-// retain the payload object beyond the callback (retaining byte slices
-// the payload points to is fine — Release must not recycle those).
+// dropped, the network calls Release exactly once. The payload object
+// and every byte slice it points to are valid only during the handler:
+// Release may recycle the memory behind those slices (a TCP segment
+// drops its hold on the sender's send array), so a handler — and any
+// application callback it invokes — must copy the bytes it keeps.
 type Releasable interface{ Release() }
 
 func releasePayload(p any) {

@@ -38,13 +38,14 @@ type Conn struct {
 
 	// Sender state. sendBuf[sendOff:] holds bytes [sndUna, sndUna+pending).
 	// Acked bytes advance sendOff instead of re-slicing the buffer, so a
-	// long-lived connection keeps appending into one backing array; the
-	// buffer resets to its start only once fully drained. In-flight
-	// segment payloads alias sendBuf, so acked prefix bytes are never
-	// compacted away while data is outstanding.
+	// long-lived connection keeps appending into one backing array
+	// (sendArr); the buffer resets to its start only once fully drained.
+	// In-flight segment payloads alias sendBuf, so acked prefix bytes are
+	// never compacted away while data is outstanding.
 	sndUna  uint64
 	sndNxt  uint64
 	sendBuf []byte
+	sendArr *sendArray
 	sendOff int
 	sentFin bool
 	finSeq  uint64
@@ -221,7 +222,7 @@ func (c *Conn) Write(p []byte) {
 		return
 	}
 	if need := len(c.sendBuf) + len(p); need > cap(c.sendBuf) {
-		c.sendBuf = c.cfg.Pools.growSendBuf(c.sendBuf, need)
+		c.sendArr, c.sendBuf = c.cfg.Pools.growSendBuf(c.sendArr, c.sendBuf, need)
 	}
 	c.sendBuf = append(c.sendBuf, p...)
 	if c.state == stateEstablished {
@@ -299,7 +300,8 @@ func (c *Conn) teardown() {
 	if c.listener != nil {
 		c.listener.remove(c.remote, c.remotePort)
 	}
-	c.cfg.Pools.retireSendBuf(c.sendBuf)
+	c.cfg.Pools.retireSendArray(c.sendArr)
+	c.sendArr = nil
 	c.sendBuf = nil
 	c.sendOff = 0
 	for _, chunk := range c.recvBuf {
@@ -440,7 +442,7 @@ func (c *Conn) trySend() {
 			}
 			seg := newSegment(c.cfg.Pools)
 			seg.seq = c.sndNxt
-			seg.payload = c.sendBuf[c.sendOff+int(off) : c.sendOff+int(end)]
+			c.holdPayload(seg, c.sendOff+int(off), c.sendOff+int(end))
 			c.markTimed(seg)
 			c.sndNxt = c.sndUna + end
 			c.sendSeg(seg)
@@ -459,6 +461,17 @@ func (c *Conn) trySend() {
 			c.armRTOIfIdle()
 		}
 		return
+	}
+}
+
+// holdPayload points seg's payload at sendBuf[lo:hi] and holds the
+// backing array until the segment's Release.
+func (c *Conn) holdPayload(seg *segment, lo, hi int) {
+	seg.payload = c.sendBuf[lo:hi]
+	seg.arr = c.sendArr
+	c.sendArr.holds++
+	if pl := c.cfg.Pools; pl != nil {
+		pl.held++
 	}
 }
 
@@ -612,7 +625,7 @@ func (c *Conn) retransmitFirst() {
 	}
 	seg := newSegment(c.cfg.Pools)
 	seg.seq = c.sndUna
-	seg.payload = c.sendBuf[c.sendOff : c.sendOff+int(avail)]
+	c.holdPayload(seg, c.sendOff, c.sendOff+int(avail))
 	c.sendSeg(seg)
 	c.armRTO()
 }
@@ -719,15 +732,27 @@ func (c *Conn) processData(seg *segment) {
 		payload = payload[c.rcvNxt-start:]
 		start = c.rcvNxt
 	}
-	if prev, ok := c.recvBuf[start]; !ok || len(payload) > len(prev.data) || seg.flags&flagFIN != 0 {
-		buf := c.cfg.Arena.Get(len(payload))
-		copy(buf, payload)
-		c.recvBuf[start] = recvChunk{data: buf, fin: seg.flags&flagFIN != 0}
-		if ok {
-			c.cfg.Arena.Put(prev.data)
+	if start == c.rcvNxt && len(c.recvBuf) == 0 && seg.flags&flagFIN == 0 {
+		// In-order fast path: nothing is buffered ahead, so the wire
+		// payload is delivered as-is — it stays valid (its send array
+		// held) until the handler returns, and the application copies
+		// what it keeps.
+		c.rcvNxt += uint64(len(payload))
+		c.stats.BytesDelivered += int64(len(payload))
+		if c.dataFn != nil {
+			c.dataFn(payload)
 		}
+	} else {
+		if prev, ok := c.recvBuf[start]; !ok || len(payload) > len(prev.data) || seg.flags&flagFIN != 0 {
+			buf := c.cfg.Arena.Get(len(payload))
+			copy(buf, payload)
+			c.recvBuf[start] = recvChunk{data: buf, fin: seg.flags&flagFIN != 0}
+			if ok {
+				c.cfg.Arena.Put(prev.data)
+			}
+		}
+		c.advanceReceive()
 	}
-	c.advanceReceive()
 	// HOL-stall bookkeeping: data buffered beyond a sequence gap means
 	// the application is head-of-line blocked. Tracer-gated — the state
 	// is only read here, so an untraced connection skips it entirely.

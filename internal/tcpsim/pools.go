@@ -1,10 +1,10 @@
 package tcpsim
 
-// Send-buffer size classes: powers of two from 4KB to 8MB. Buffers are
-// always sized through growSendBuf, so every pooled buffer has an exact
-// class capacity. The 8MB ceiling caps retention: a conn whose busy
-// period exceeds it falls back to plain allocation and its buffer is
-// dropped for the collector at teardown.
+import "h3cdn/internal/bufpool"
+
+// Send-buffer size classes: powers of two from 4KB to 8MB. The ceiling
+// caps retention: a busier conn falls back to plain allocation, and its
+// array is dropped for the collector once released.
 const (
 	minSendBufBits = 12 // 4KB
 	maxSendBufBits = 23 // 8MB
@@ -12,28 +12,34 @@ const (
 )
 
 // Pools is a per-universe free list for TCP allocations. All endpoints
-// of one simulation universe share one Pools on one scheduler goroutine,
-// so reuse needs no locking and — unlike the process-global sync.Pool
-// fallback — survives garbage-collection cycles: a warm shard replays
-// each visit out of the same segment, buffer, and conn footprint.
+// of one universe share it on one scheduler goroutine, so reuse needs no
+// locking and — unlike the global sync.Pool fallback — survives GC: a
+// warm shard replays each visit out of one allocation footprint.
 //
 // A nil *Pools is valid and falls back to the global pool (segments) or
 // plain allocation (buffers, conns).
 //
 // Segments recycle at delivery (the network calls Release after the
-// handler returns). Send buffers and conn structs instead quarantine
-// until the owning universe's visit-boundary Rewind: in-flight segments
-// alias a connection's sendBuf — including arrays it outgrew mid-visit —
-// and late-firing closures (reset probes, stray duplicate deliveries)
-// may still read a torn-down conn's fields until the scheduler drains.
+// handler returns). Each in-flight segment holds the send array its
+// payload aliases; an array its conn outgrew or tore down recycles on
+// its last hold. Conn structs quarantine until the visit-boundary
+// Rewind: late closures (reset probes, stray duplicate deliveries) may
+// read a torn-down conn's fields until the scheduler drains.
 type Pools struct {
-	segs []*segment
-
-	sendBufs    [sendBufClasses][][]byte
-	retiredBufs [][]byte
+	segs     []*segment
+	sendBufs [sendBufClasses][]*sendArray
+	held     int // segment holds outstanding on send arrays
 
 	conns        []*Conn
 	retiredConns []*Conn
+}
+
+// sendArray is a send-buffer backing array (full capacity) with its
+// count of aliasing in-flight segments.
+type sendArray struct {
+	buf     []byte
+	holds   int
+	retired bool
 }
 
 // sendBufClass maps a capacity to its class index, or -1 when the
@@ -49,12 +55,9 @@ func sendBufClass(c int) int {
 	return idx
 }
 
-// growSendBuf returns a buffer with the contents of buf and capacity at
-// least need, amortizing growth by at least doubling. The outgrown array
-// is quarantined, not freed: in-flight segments alias windows of it and
-// keep reading until the scheduler drains. With a nil Pools it degrades
-// to plain doubling allocation, matching append's behavior.
-func (pl *Pools) growSendBuf(buf []byte, need int) []byte {
+// growSendBuf returns an array of capacity >= need (at least doubling)
+// holding buf's contents, and retires old, the array buf lives in.
+func (pl *Pools) growSendBuf(old *sendArray, buf []byte, need int) (*sendArray, []byte) {
 	newCap := 1 << minSendBufBits
 	if c := cap(buf); c*2 > newCap {
 		newCap = c * 2
@@ -62,45 +65,54 @@ func (pl *Pools) growSendBuf(buf []byte, need int) []byte {
 	for newCap < need {
 		newCap *= 2
 	}
-	var nb []byte
+	var a *sendArray
 	if cls := sendBufClass(newCap); pl != nil && cls >= 0 {
 		if lst := pl.sendBufs[cls]; len(lst) > 0 {
-			nb = lst[len(lst)-1][:0]
+			a = lst[len(lst)-1]
 			lst[len(lst)-1] = nil
 			pl.sendBufs[cls] = lst[:len(lst)-1]
+			a.retired = false
 		}
 	}
-	if nb == nil {
-		nb = make([]byte, 0, newCap)
+	if a == nil {
+		a = &sendArray{buf: make([]byte, newCap)}
 	}
-	nb = nb[:len(buf)]
+	nb := a.buf[:len(buf)]
 	copy(nb, buf)
-	pl.retireSendBuf(buf)
-	return nb
+	pl.retireSendArray(old)
+	return a, nb
 }
 
-// retireSendBuf quarantines a send buffer until Rewind. In-flight
-// segments alias the backing array, so it must not be handed out again
-// before the scheduler drains.
-func (pl *Pools) retireSendBuf(buf []byte) {
-	if pl == nil || cap(buf) == 0 {
+// retireSendArray marks a send array unused by its conn (a is nil
+// before the first write) and recycles it unless a segment still holds
+// it; the last hold's Release calls it again.
+func (pl *Pools) retireSendArray(a *sendArray) {
+	if a == nil {
 		return
 	}
-	pl.retiredBufs = append(pl.retiredBufs, buf[:0])
+	a.retired = true
+	if a.holds > 0 {
+		return
+	}
+	bufpool.Poison(a.buf)
+	if cls := sendBufClass(len(a.buf)); pl != nil && cls >= 0 {
+		pl.sendBufs[cls] = append(pl.sendBufs[cls], a)
+	}
 }
+
+// Held reports the segment holds outstanding (zero once drained).
+func (pl *Pools) Held() int { return pl.held }
 
 // getConn pops a recycled conn (fields zeroed at Rewind), or nil.
 func (pl *Pools) getConn() *Conn {
-	if pl == nil {
+	if pl == nil || len(pl.conns) == 0 {
 		return nil
 	}
-	if n := len(pl.conns); n > 0 {
-		c := pl.conns[n-1]
-		pl.conns[n-1] = nil
-		pl.conns = pl.conns[:n-1]
-		return c
-	}
-	return nil
+	n := len(pl.conns) - 1
+	c := pl.conns[n]
+	pl.conns[n] = nil
+	pl.conns = pl.conns[:n]
+	return c
 }
 
 // retireConn quarantines a torn-down conn until Rewind. The struct is
@@ -113,27 +125,15 @@ func (pl *Pools) retireConn(c *Conn) {
 	pl.retiredConns = append(pl.retiredConns, c)
 }
 
-// Rewind promotes quarantined buffers and conns to the free lists. Must
-// only run at a visit boundary: the scheduler has drained, so no wire
-// copy, timer, or scheduled closure still references retired state.
-// Buffers without an exact class capacity (over-ceiling growth) are
-// dropped for the collector.
+// Rewind promotes quarantined conns to the free list. Visit boundaries
+// only: the scheduler has drained, so nothing references them.
 func (pl *Pools) Rewind() {
 	if pl == nil {
 		return
 	}
-	for i, buf := range pl.retiredBufs {
-		if cls := sendBufClass(cap(buf)); cls >= 0 {
-			pl.sendBufs[cls] = append(pl.sendBufs[cls], buf)
-		}
-		pl.retiredBufs[i] = nil
-	}
-	pl.retiredBufs = pl.retiredBufs[:0]
-	for _, c := range pl.retiredConns {
+	for i, c := range pl.retiredConns {
 		c.reset()
 		pl.conns = append(pl.conns, c)
-	}
-	for i := range pl.retiredConns {
 		pl.retiredConns[i] = nil
 	}
 	pl.retiredConns = pl.retiredConns[:0]

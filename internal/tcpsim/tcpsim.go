@@ -103,13 +103,19 @@ const (
 // offsets (no wraparound modeling). A FIN consumes one offset.
 //
 // Segments are pooled: each is sent exactly once (retransmissions build
-// fresh segments), receivers copy the payload during delivery, and the
-// network recycles the segment via Release after the handler returns.
+// fresh segments), and the network recycles the segment via Release
+// after the handler returns. A data segment's payload aliases a window
+// of its sender's send array and holds that array (arr) until Release,
+// so the bytes stay intact while the segment is in flight even if the
+// sender outgrows or tears down the array meanwhile. Receivers read the
+// payload only during delivery: in-order bytes go straight to the
+// application, out-of-order bytes are copied into reassembly chunks.
 type segment struct {
 	flags   segFlags
 	seq     uint64
 	ack     uint64
 	payload []byte
+	arr     *sendArray
 	// pools, when non-nil, routes Release back to the originating
 	// universe's arena instead of the process-global sync.Pool. Release
 	// runs on the universe's scheduler goroutine, so the thread-confined
@@ -132,9 +138,19 @@ func newSegment(pl *Pools) *segment {
 	return segPool.Get().(*segment)
 }
 
-// Release implements simnet.Releasable. The payload slice aliases the
-// sender's buffer and is only dereferenced, never recycled, here.
+// Release implements simnet.Releasable. It drops the segment's hold on
+// its send array, recycling the array if this was the last hold on a
+// retired one.
 func (s *segment) Release() {
+	if a := s.arr; a != nil {
+		a.holds--
+		if s.pools != nil {
+			s.pools.held--
+		}
+		if a.holds == 0 && a.retired {
+			s.pools.retireSendArray(a)
+		}
+	}
 	if pl := s.pools; pl != nil {
 		*s = segment{pools: pl}
 		pl.segs = append(pl.segs, s)

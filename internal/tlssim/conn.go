@@ -76,8 +76,13 @@ type Conn struct {
 
 	arena *bufpool.Arena
 
+	// recvAcc is the arena-owned record accumulator, taken on first data
+	// and returned once the transport can deliver nothing more
+	// (releaseAcc).
 	recvAcc   []byte
 	recvOff   int      // consumed prefix of recvAcc; compacted before each append
+	inRecv    bool     // onTransportData is handing records out of recvAcc
+	recvDone  bool     // transport closed or aborted: release recvAcc when idle
 	pending   [][]byte // arena-owned app writes queued until the handshake allows them
 	pendingIn [][]byte // plaintext received before a data callback exists
 
@@ -296,6 +301,7 @@ func (c *Conn) Abort() {
 	}
 	c.closed = true
 	c.releasePending()
+	c.releaseAcc()
 	c.transport.Abort()
 }
 
@@ -341,7 +347,26 @@ func (c *Conn) releasePending() {
 	c.pending = c.pending[:0]
 }
 
+// recvAccSize is the receive accumulator's initial arena class. A record
+// is at most maxRecord plus header and tag, and one transport delivery is
+// at most an MSS, so a partial record plus one delivery fits unresized.
+const recvAccSize = 32 << 10
+
+// releaseAcc marks the receive side finished and returns the
+// accumulator to the arena. A record callback in progress still reads a
+// payload aliasing it, so the return then waits for the end of
+// onTransportData.
+func (c *Conn) releaseAcc() {
+	c.recvDone = true
+	if c.inRecv || c.recvAcc == nil {
+		return
+	}
+	c.arena.Put(c.recvAcc)
+	c.recvAcc, c.recvOff = nil, 0
+}
+
 func (c *Conn) onTransportClose(err error) {
+	c.releaseAcc()
 	if c.peerClosed || c.closed {
 		c.peerClosed = true
 		return
@@ -374,7 +399,29 @@ func (c *Conn) onTransportData(p []byte) {
 		c.recvAcc = c.recvAcc[:n]
 		c.recvOff = 0
 	}
+	if need := len(c.recvAcc) + len(p); need > cap(c.recvAcc) {
+		size := recvAccSize
+		for size < need {
+			size *= 2
+		}
+		acc := c.arena.Get(size)[:len(c.recvAcc)]
+		copy(acc, c.recvAcc)
+		if c.recvAcc != nil {
+			c.arena.Put(c.recvAcc)
+		}
+		c.recvAcc = acc
+	}
 	c.recvAcc = append(c.recvAcc, p...)
+	c.inRecv = true
+	c.handleRecords()
+	c.inRecv = false
+	if c.recvDone {
+		c.releaseAcc()
+	}
+}
+
+// handleRecords dispatches every complete record in the accumulator.
+func (c *Conn) handleRecords() {
 	for {
 		acc := c.recvAcc[c.recvOff:]
 		if len(acc) < recordHeader {
@@ -518,6 +565,7 @@ func (c *Conn) serverHandleClientHello(payload []byte) {
 func (c *Conn) failRecord() {
 	c.closed = true
 	c.releasePending()
+	c.releaseAcc()
 	c.transport.Abort()
 	if !c.established {
 		if c.onHandshake != nil {
