@@ -69,19 +69,20 @@ bench-memory:
 	H3CDN_TRAFFIC_VISITS=1200,9600 $(GO) run ./cmd/benchgate -baseline BENCH_scaling.json -benchtime 1x -smoke -only PopulationCampaign
 
 # Trace-replay smoke pass: run the same variable-link campaign (synthetic
-# cellular trace + bursty loss) sequentially and with 2 workers, and
-# require byte-identical datasets — the cheap end-to-end check that
+# cellular trace + bursty loss) with 1 worker (shards inline) and with 2
+# workers, and require byte-identical datasets — the cheap end-to-end check that
 # TraceLink replay composed with the fault layer stays deterministic
 # under sharding.
 trace-replay-smoke:
 	rm -rf .trace-replay-smoke && mkdir -p .trace-replay-smoke
-	$(GO) run ./cmd/h3cdn-measure -pages 6 -link-trace lte -burst-loss 0.01 -sequential -o .trace-replay-smoke/seq.json
+	$(GO) run ./cmd/h3cdn-measure -pages 6 -link-trace lte -burst-loss 0.01 -workers 1 -o .trace-replay-smoke/seq.json
 	$(GO) run ./cmd/h3cdn-measure -pages 6 -link-trace lte -burst-loss 0.01 -workers 2 -o .trace-replay-smoke/par.json
 	cmp .trace-replay-smoke/seq.json .trace-replay-smoke/par.json
 	rm -rf .trace-replay-smoke
 
 # Population-traffic smoke pass: the same open-loop traffic campaign run
-# sequentially and with 2 workers must produce byte-identical datasets
+# with 1 worker (shards inline) and with 2 workers must produce
+# byte-identical datasets
 # (user partitioning is worker-count independent), and a checkpointed
 # run driven epoch by epoch through kill/resume cycles must reproduce
 # the uninterrupted dataset byte for byte.
@@ -90,7 +91,7 @@ TRAFFIC_SMOKE_FLAGS = -pages 8 -traffic -traffic-users 24 -traffic-users-per-sha
 	-traffic-think 2s
 traffic-smoke:
 	rm -rf .traffic-smoke && mkdir -p .traffic-smoke/ckpt
-	$(GO) run ./cmd/h3cdn-measure $(TRAFFIC_SMOKE_FLAGS) -sequential -o .traffic-smoke/seq.json
+	$(GO) run ./cmd/h3cdn-measure $(TRAFFIC_SMOKE_FLAGS) -workers 1 -o .traffic-smoke/seq.json
 	$(GO) run ./cmd/h3cdn-measure $(TRAFFIC_SMOKE_FLAGS) -workers 2 -o .traffic-smoke/par.json
 	cmp .traffic-smoke/seq.json .traffic-smoke/par.json
 	$(GO) run ./cmd/h3cdn-measure $(TRAFFIC_SMOKE_FLAGS) -traffic-checkpoint .traffic-smoke/ckpt -traffic-halt-epochs 1 -o /dev/null
@@ -99,12 +100,12 @@ traffic-smoke:
 	cmp .traffic-smoke/seq.json .traffic-smoke/resumed.json
 	rm -rf .traffic-smoke
 
-# Buffer-poisoning smoke pass: the five pinned determinism goldens (plus
+# Buffer-poisoning smoke pass: the pinned determinism goldens (plus
 # the arena balance check and the transport/HTTP layer suites) built with
 # -tags h3cdnpoison, which fills every recycled buffer with 0xA5 — on
 # bufpool.Arena.Put, and on a TCP send array's last hold release. A read
 # of recycled memory then changes parsed bytes and fails a golden hash.
-POISON_GOLDENS = ^(TestCampaignGoldenDataset|TestImpairedCampaignGoldenDataset|TestCampaignGoldenTraces|TestTraceLinkCampaignGoldenDataset|TestTrafficGoldenDataset|TestArenaBalancedAfterVisits)$$
+POISON_GOLDENS = ^(TestCampaignGoldenDataset|TestImpairedCampaignGoldenDataset|TestCampaignGoldenTraces|TestTraceLinkCampaignGoldenDataset|TestTrafficGoldenDataset|TestTrafficSampledGoldenDataset|TestArenaBalancedAfterVisits)$$
 poison-smoke:
 	$(GO) test -tags h3cdnpoison -count=1 ./internal/bufpool ./internal/tcpsim ./internal/tlssim ./internal/quicsim ./internal/httpsim
 	$(GO) test -tags h3cdnpoison -count=1 -run '$(POISON_GOLDENS)' ./internal/core

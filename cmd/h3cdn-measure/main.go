@@ -44,8 +44,7 @@ func run() int {
 		probes      = flag.Int("probes", 1, "probes per vantage point")
 		loss        = flag.Float64("loss", 0, "path loss rate (0 = default baseline, negative = lossless)")
 		consecutive = flag.Bool("consecutive", false, "consecutive-visit protocol (§VI-D)")
-		sequential  = flag.Bool("sequential", false, "disable shard parallelism")
-		workers     = flag.Int("workers", 0, "concurrent shard workers (0 = GOMAXPROCS)")
+		workers     = flag.Int("workers", 0, "concurrent shard workers (0 = GOMAXPROCS, 1 = inline)")
 
 		burstLoss    = flag.Float64("burst-loss", 0, "Gilbert–Elliott average loss rate (0 disables bursty loss)")
 		burstLen     = flag.Float64("burst-len", 4, "Gilbert–Elliott mean burst length in packets")
@@ -110,7 +109,7 @@ func run() int {
 		maxInFlight:   *trafficFlight,
 		checkpoint:    *trafficCkpt,
 		haltEpochs:    *trafficHalt,
-	}, *consecutive, *qlogDir, ret)
+	}, *consecutive, *qlogDir)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "h3cdn-measure: %v\n", err)
 		return 2
@@ -191,7 +190,6 @@ func run() int {
 		ProbesPerVantage: *probes,
 		LossRate:         *loss,
 		Consecutive:      *consecutive,
-		Sequential:       *sequential,
 		Workers:          *workers,
 		Impairment:       impair,
 		LinkTrace:        tl,
@@ -352,8 +350,8 @@ type trafficFlags struct {
 // before any simulation work: zero users or a NaN arrival rate in a
 // sweep script should fail the first invocation loudly, as should
 // combining -traffic with per-page census machinery it cannot honor
-// (-consecutive, -qlog, sampled HAR retention).
-func buildTrafficConfig(tf trafficFlags, consecutive bool, qlogDir string, ret har.Retention) (*traffic.Config, error) {
+// (-consecutive, -qlog).
+func buildTrafficConfig(tf trafficFlags, consecutive bool, qlogDir string) (*traffic.Config, error) {
 	if !tf.enabled {
 		return nil, nil
 	}
@@ -362,9 +360,6 @@ func buildTrafficConfig(tf trafficFlags, consecutive bool, qlogDir string, ret h
 	}
 	if qlogDir != "" {
 		return nil, fmt.Errorf("-traffic: incompatible with -qlog")
-	}
-	if ret.Kind == har.RetainSample {
-		return nil, fmt.Errorf("-traffic: incompatible with -har-retention sample:N (use all or none)")
 	}
 	if tf.haltEpochs < 0 {
 		return nil, fmt.Errorf("-traffic-halt-epochs %d: must be non-negative", tf.haltEpochs)

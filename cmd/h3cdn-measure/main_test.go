@@ -70,7 +70,6 @@ func TestBuildTrafficConfig(t *testing.T) {
 		tf          trafficFlags
 		consecutive bool
 		qlogDir     string
-		ret         har.Retention
 	}
 	ok := args{
 		tf: trafficFlags{
@@ -79,7 +78,6 @@ func TestBuildTrafficConfig(t *testing.T) {
 			rate:     4,
 			duration: 2 * time.Minute,
 		},
-		ret: har.Retention{Kind: har.RetainAll},
 	}
 	cases := []struct {
 		name    string
@@ -116,15 +114,12 @@ func TestBuildTrafficConfig(t *testing.T) {
 		{"negative-halt-epochs", func(a *args) { a.tf.haltEpochs = -1 }, "-traffic-halt-epochs"},
 		{"with-consecutive", func(a *args) { a.consecutive = true }, "-consecutive"},
 		{"with-qlog", func(a *args) { a.qlogDir = "qlogs" }, "-qlog"},
-		{"with-sampled-retention", func(a *args) {
-			a.ret = har.Retention{Kind: har.RetainSample, Sample: 8}
-		}, "sample"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			a := ok
 			tc.mut(&a)
-			cfg, err := buildTrafficConfig(a.tf, a.consecutive, a.qlogDir, a.ret)
+			cfg, err := buildTrafficConfig(a.tf, a.consecutive, a.qlogDir)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -147,7 +142,7 @@ func TestBuildTrafficConfig(t *testing.T) {
 	off := ok
 	off.tf.enabled = false
 	off.tf.users = -1
-	if cfg, err := buildTrafficConfig(off.tf, off.consecutive, off.qlogDir, off.ret); cfg != nil || err != nil {
+	if cfg, err := buildTrafficConfig(off.tf, off.consecutive, off.qlogDir); cfg != nil || err != nil {
 		t.Fatalf("disabled traffic: got (%v, %v), want (nil, nil)", cfg, err)
 	}
 }

@@ -66,13 +66,15 @@ func TestArenaBalancedAfterVisits(t *testing.T) {
 			}
 			defer u.Close()
 			acc := sketch.NewAccumulator(sketch.DefaultAlpha)
-			en := &trafficEngine{
-				u: u, tc: tc, corpus: corpus, mode: mode, probe: "arena/0",
-				endAbs:   tc.EpochInterval,
-				group:    acc.Group(sketch.Key{Mode: mode.String(), Vantage: "arena"}),
-				counters: &traffic.Counters{}, epoch: &traffic.EpochStat{},
-				userMem: make(map[int][]string),
+			sh := &shard{
+				job: shardJob{mode: mode}, tc: &tc, corpus: corpus,
+				userMem: make(map[int][]string), rep: &traffic.Report{},
+				sink: visitSink{
+					probe: "arena/0", fold: trafficVisitSample,
+					group: acc.Group(sketch.Key{Mode: mode.String(), Vantage: "arena"}),
+				},
 			}
+			en := &trafficEngine{sh: sh, u: u, endAbs: tc.EpochInterval}
 			src := seqrand.New(13).Sub("traffic")
 			for i, a := range traffic.Arrivals(src, 0, tc.ArrivalRate, tc.Users, tc, 0, tc.EpochInterval) {
 				user := a.User
@@ -82,9 +84,9 @@ func TestArenaBalancedAfterVisits(t *testing.T) {
 			if _, err := u.Sched.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if en.counters.VisitsCompleted < 10 || en.inFlight != 0 {
+			if sh.rep.Counters.VisitsCompleted < 10 || en.inFlight != 0 {
 				t.Fatalf("epoch completed %d visits with %d in flight; want a drained, busy epoch",
-					en.counters.VisitsCompleted, en.inFlight)
+					sh.rep.Counters.VisitsCompleted, en.inFlight)
 			}
 			if st := u.Pools().Arena.Stats(); st.InUse != 0 {
 				t.Fatalf("arena in use %d after the epoch drained, want 0 (gets %d, puts %d)", st.InUse, st.Gets, st.Puts)
@@ -92,7 +94,7 @@ func TestArenaBalancedAfterVisits(t *testing.T) {
 			if h := u.Pools().TCP.Held(); h != 0 {
 				t.Fatalf("%d send-array holds outstanding after the epoch drained, want 0", h)
 			}
-			t.Logf("mode %s: %d visits in one epoch, arena gets=puts=%d", mode, en.counters.VisitsCompleted, u.Pools().Arena.Stats().Gets)
+			t.Logf("mode %s: %d visits in one epoch, arena gets=puts=%d", mode, sh.rep.Counters.VisitsCompleted, u.Pools().Arena.Stats().Gets)
 		})
 	}
 }
@@ -116,11 +118,12 @@ func TestConcurrentCampaignsShareTopology(t *testing.T) {
 		}
 	}
 
-	// Sequential references first, then the same campaigns concurrently.
+	// Inline (one-worker) references first, then the same campaigns
+	// concurrently.
 	want := make(map[uint64]string)
 	for _, seed := range []uint64{101, 202} {
 		ref := cfg(seed)
-		ref.Sequential = true
+		ref.Workers = 1
 		ds, err := RunCampaign(ref)
 		if err != nil {
 			t.Fatal(err)
@@ -156,7 +159,7 @@ func TestConcurrentCampaignsShareTopology(t *testing.T) {
 	}
 	for seed, w := range want {
 		if got[seed] != w {
-			t.Fatalf("seed %d: concurrent dataset differs from sequential reference", seed)
+			t.Fatalf("seed %d: concurrent dataset differs from inline reference", seed)
 		}
 	}
 }

@@ -1,19 +1,14 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"h3cdn/internal/browser"
 	"h3cdn/internal/har"
-	"h3cdn/internal/seqrand"
 	"h3cdn/internal/simnet"
 	"h3cdn/internal/sketch"
 	"h3cdn/internal/trace"
@@ -73,12 +68,10 @@ type CampaignConfig struct {
 	// measured pass (§VI-D); the standard protocol clears them after
 	// every visit.
 	Consecutive bool
-	// Sequential disables shard-level parallelism (for debugging). The
-	// shard decomposition is identical either way, so sequential and
-	// parallel runs of the same config produce identical datasets.
-	Sequential bool
 	// Workers bounds the worker pool draining shards. 0 selects
-	// GOMAXPROCS.
+	// GOMAXPROCS; 1 runs every shard inline on the calling goroutine.
+	// The shard decomposition is the same at any worker count, and so is
+	// the dataset.
 	Workers int
 	// PagesPerShard is the page-range granularity of one shard (0
 	// selects 128). Consecutive mode ignores it: session continuity
@@ -92,7 +85,7 @@ type CampaignConfig struct {
 	// QlogDir, when non-empty, enables event tracing and writes one
 	// qlog JSONL file per shard (<mode>_<vantage>_p<probe>_s<shard>.qlog)
 	// covering every measured visit. The directory must exist. Shard
-	// files are byte-identical across worker counts and Sequential.
+	// files are byte-identical across worker counts.
 	QlogDir string
 	// TracePhases enables event tracing and folds each measured visit's
 	// trace into a phase breakdown, collected in Dataset.Phases.
@@ -117,9 +110,10 @@ type CampaignConfig struct {
 	// partition users instead of pages — each shard is an independent
 	// PoP serving its population slice — and the dataset's PageLogs are
 	// whatever visits the population made (under Retention), not one
-	// visit per corpus page. Incompatible with Consecutive, TracePhases,
-	// QlogDir, and sampled retention (the reservoir state is not part of
-	// traffic checkpoints).
+	// visit per corpus page. Two things do not apply and are rejected:
+	// Consecutive, because sessions already decide how visits share
+	// session caches; and TracePhases/QlogDir, because the tracer
+	// brackets one visit at a time while population visits overlap.
 	Traffic *traffic.Config
 }
 
@@ -232,6 +226,12 @@ type shardJob struct {
 	lo, hi int // page range [lo, hi) in corpus order
 }
 
+// fileName names a per-shard file: prefix, then the shard's mode,
+// vantage, probe and index, then the extension.
+func (job shardJob) fileName(prefix, ext string) string {
+	return fmt.Sprintf("%s%s_%s_p%d_s%d.%s", prefix, modeSlug(job.mode), slug(job.point.Name), job.probe, job.shard, ext)
+}
+
 // shardSeed derives the universe seed for a shard. Shard 0 reproduces the
 // historical per-probe formula, so single-shard campaigns (small corpora,
 // Consecutive mode) match pre-sharding datasets exactly.
@@ -298,7 +298,7 @@ func shardCampaign(cfg CampaignConfig, corpus *webgen.Corpus) []shardJob {
 
 // RunCampaign executes the full visit protocol and returns the dataset.
 // Shards run on a bounded worker pool (see CampaignConfig.Workers); the
-// result is independent of worker count and of Sequential.
+// result is independent of worker count.
 func RunCampaign(cfg CampaignConfig) (*Dataset, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Retention.Validate(); err != nil {
@@ -315,8 +315,6 @@ func RunCampaign(cfg CampaignConfig) (*Dataset, error) {
 			return nil, fmt.Errorf("core: RunCampaign: traffic campaigns do not support TracePhases")
 		case cfg.QlogDir != "":
 			return nil, fmt.Errorf("core: RunCampaign: traffic campaigns do not support QlogDir")
-		case cfg.Retention.Kind == har.RetainSample:
-			return nil, fmt.Errorf("core: RunCampaign: traffic campaigns do not support sampled retention (reservoir state is not checkpointable)")
 		}
 	}
 	corpus := cfg.Corpus
@@ -339,77 +337,48 @@ func RunCampaign(cfg CampaignConfig) (*Dataset, error) {
 	jobs := shardCampaign(cfg, corpus)
 	offsets, perMode := stitchOffsets(jobs)
 	ds := newStitchDataset(cfg, corpus, perMode)
-	errs := make([]error, len(jobs))
-	accs := make([]*sketch.MetricAccumulator, len(jobs))
-	var treps []*traffic.Report
-	if cfg.Traffic != nil {
-		treps = make([]*traffic.Report, len(jobs))
-	}
-	// Traffic shards retain a variable number of visit logs (the
-	// population decides), so even RetainAll campaigns stitch by append
-	// rather than fixed offsets.
+	results := make([]shardResult, len(jobs))
+	// Population shards retain a variable number of visit logs (the
+	// population decides), and under sampled or disabled retention a
+	// shard contributes an unknown (possibly zero) number of retained
+	// PageLogs, so only closed-loop RetainAll campaigns know every
+	// shard's page count up front.
 	retainAll := cfg.Retention.Kind == har.RetainAll && cfg.Traffic == nil
-	// Under sampled or disabled retention a shard contributes an unknown
-	// (possibly zero) number of retained PageLogs, so the fixed-offset
-	// copy cannot apply; buffer per-shard retained slices and stitch
-	// them in job order once every shard has finished.
-	var retPages [][]har.PageLog
-	var retPhases [][]trace.PhaseBreakdown
-	if !retainAll {
-		retPages = make([][]har.PageLog, len(jobs))
-		if cfg.TracePhases {
-			retPhases = make([][]trace.PhaseBreakdown, len(jobs))
-		}
-	}
 
-	// consume stitches one finished shard into its final dataset position
-	// and drops the shard's slices, so the campaign retains the dataset
-	// plus at most the in-flight results — O(workers × shard size)
-	// transient memory — instead of holding every shard's page-log slice
-	// until a stitch pass at the end.
+	// consume files one finished shard. When its page count is known up
+	// front, its slices are copied straight to their final dataset
+	// position and dropped, so the campaign retains the dataset plus at
+	// most the in-flight results — O(workers × shard size) transient
+	// memory. Otherwise they wait for stitchRetained, which appends them
+	// in job order once every shard has finished.
 	consume := func(r shardResult) {
-		errs[r.job] = r.err
-		if r.err != nil {
-			return
-		}
-		accs[r.job] = r.acc
-		if treps != nil {
-			treps[r.job] = r.traffic
-		}
-		job := jobs[r.job]
-		if retainAll {
+		if r.err == nil && retainAll {
+			job := jobs[r.job]
 			copy(ds.Logs[job.mode].Pages[offsets[r.job]:], r.pages)
 			if cfg.TracePhases {
 				copy(ds.Phases[job.mode][offsets[r.job]:], r.phases)
 			}
-		} else {
-			retPages[r.job] = r.pages
-			if cfg.TracePhases {
-				retPhases[r.job] = r.phases
-			}
+			r.pages, r.phases = nil, nil
 		}
-		ds.Stats.add(r.stats)
+		results[r.job] = r
 	}
 	run := func(i int) shardResult {
-		if cfg.Traffic != nil {
-			pages, stats, acc, rep, err := runTrafficShard(cfg, topo, jobs[i])
-			return shardResult{job: i, pages: pages, stats: stats, acc: acc, traffic: rep, err: err}
-		}
-		pages, phases, stats, acc, err := runShard(cfg, topo, jobs[i])
-		return shardResult{job: i, pages: pages, phases: phases, stats: stats, acc: acc, err: err}
+		r := runShard(cfg, topo, jobs[i])
+		r.job = i
+		return r
 	}
-	if cfg.Sequential {
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > len(jobs) {
+		workers = len(jobs)
+	}
+	if workers == 1 {
 		for i := range jobs {
 			consume(run(i))
 		}
 	} else {
-		workers := cfg.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > len(jobs) {
-			workers = len(jobs)
-		}
 		// Results stream through a channel bounded at the worker count:
 		// a finished shard parks at most one result per worker before the
 		// stitcher (this goroutine) copies it into place and frees it.
@@ -441,27 +410,30 @@ func RunCampaign(cfg CampaignConfig) (*Dataset, error) {
 	}
 	// Report the first failure in job order (not completion order), so a
 	// multi-failure campaign surfaces the same error at every worker count.
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("core: probe %s/%d mode %s pages [%d,%d): %w",
-				jobs[i].point.Name, jobs[i].probe, jobs[i].mode, jobs[i].lo, jobs[i].hi, err)
+	unit := "pages"
+	if cfg.Traffic != nil {
+		unit = "users"
+	}
+	for i, r := range results {
+		if r.err != nil {
+			return nil, fmt.Errorf("core: probe %s/%d mode %s %s [%d,%d): %w",
+				jobs[i].point.Name, jobs[i].probe, jobs[i].mode, unit, jobs[i].lo, jobs[i].hi, r.err)
 		}
 	}
-	if !retainAll {
-		stitchRetained(ds, jobs, retPages, retPhases)
-	}
+	stitchRetained(ds, jobs, results)
 	// Merge shard accumulators in job-index order. Sketch merging is
 	// associative and commutative, so any order would yield identical
 	// state; the fixed order makes that property incidental rather than
 	// load-bearing.
 	ds.Metrics = sketch.NewAccumulator(sketch.DefaultAlpha)
-	for _, acc := range accs {
-		ds.Metrics.Merge(acc)
-	}
-	if treps != nil {
+	if cfg.Traffic != nil {
 		ds.Traffic = &traffic.Report{}
-		for _, rep := range treps {
-			ds.Traffic.Merge(rep)
+	}
+	for _, r := range results {
+		ds.Stats.add(r.stats)
+		ds.Metrics.Merge(r.acc)
+		if ds.Traffic != nil {
+			ds.Traffic.Merge(r.traffic)
 		}
 	}
 	return ds, nil
@@ -470,14 +442,15 @@ func RunCampaign(cfg CampaignConfig) (*Dataset, error) {
 // stitchRetained appends each shard's retained PageLogs (and phase
 // breakdowns) to the dataset in job order. Shards whose retention kept
 // nothing contribute nil slices — RetainNone shards always, RetainSample
-// shards possibly — and are skipped rather than assumed to hold pages.
-func stitchRetained(ds *Dataset, jobs []shardJob, pages [][]har.PageLog, phases [][]trace.PhaseBreakdown) {
+// shards possibly, fixed-offset shards already copied into place — and
+// are skipped rather than assumed to hold pages.
+func stitchRetained(ds *Dataset, jobs []shardJob, results []shardResult) {
 	for i, job := range jobs {
-		if len(pages[i]) > 0 {
-			ds.Logs[job.mode].Pages = append(ds.Logs[job.mode].Pages, pages[i]...)
+		if len(results[i].pages) > 0 {
+			ds.Logs[job.mode].Pages = append(ds.Logs[job.mode].Pages, results[i].pages...)
 		}
-		if phases != nil && len(phases[i]) > 0 {
-			ds.Phases[job.mode] = append(ds.Phases[job.mode], phases[i]...)
+		if len(results[i].phases) > 0 {
+			ds.Phases[job.mode] = append(ds.Phases[job.mode], results[i].phases...)
 		}
 	}
 }
@@ -489,7 +462,7 @@ type shardResult struct {
 	phases  []trace.PhaseBreakdown
 	stats   CampaignStats
 	acc     *sketch.MetricAccumulator
-	traffic *traffic.Report // population shards only
+	traffic *traffic.Report // merged into Dataset.Traffic on population campaigns
 	err     error
 }
 
@@ -564,198 +537,6 @@ func newStitchDataset(cfg CampaignConfig, corpus *webgen.Corpus, perMode map[bro
 		}
 	}
 	return ds
-}
-
-// runShard executes the visit protocol for one shard: a warm pass caches
-// the shard's resources at the edges (and, implicitly, teaches the
-// browser each host's H3 support, like Alt-Svc), then the measured pass
-// records HAR logs. The shard sees a sub-corpus view — only its page
-// range, with the full corpus's hostname maps — while the shared
-// campaign topology supplies the content catalog and resolver tables, so
-// each shard instantiates only the servers its pages contact.
-// It also returns the shard's execution counters (events, recovery
-// activity, network drops) and its streaming metric accumulator, into
-// which every measured visit is folded the moment it finishes —
-// regardless of whether the retention policy keeps its PageLog.
-func runShard(cfg CampaignConfig, topo *Topology, job shardJob) ([]har.PageLog, []trace.PhaseBreakdown, CampaignStats, *sketch.MetricAccumulator, error) {
-	corpus := topo.Corpus()
-	view := corpus
-	if job.lo != 0 || job.hi != len(corpus.Pages) {
-		view = &webgen.Corpus{
-			Pages:        corpus.Pages[job.lo:job.hi],
-			H3Support:    corpus.H3Support,
-			HostProvider: corpus.HostProvider,
-			H1Only:       corpus.H1Only,
-		}
-	}
-
-	// Tracing: each shard owns a private tracer and qlog buffer (shards
-	// run on worker goroutines; nothing here is shared), so shard files
-	// and phase lists are independent of worker count.
-	var (
-		tracer  *trace.Tracer
-		qw      *trace.QlogWriter
-		qbuf    bytes.Buffer
-		qpath   string
-		sPhases []trace.PhaseBreakdown
-	)
-	if cfg.QlogDir != "" || cfg.TracePhases {
-		if cfg.QlogDir != "" {
-			name := fmt.Sprintf("%s_%s_p%d_s%d.qlog",
-				modeSlug(job.mode), slug(job.point.Name), job.probe, job.shard)
-			qpath = filepath.Join(cfg.QlogDir, name)
-			qw = trace.NewQlogWriter(&qbuf, name)
-		}
-		tracer = trace.New(cfg.TraceRing, func(v *trace.VisitRecord) {
-			if qw != nil {
-				qw.WriteVisit(v)
-			}
-			if cfg.TracePhases {
-				sPhases = append(sPhases, trace.AttributeVisit(v))
-			}
-		})
-	}
-
-	u, err := NewUniverse(UniverseConfig{
-		Seed:           shardSeed(cfg, job),
-		Corpus:         view,
-		Topology:       topo,
-		Vantage:        job.point,
-		LossRate:       cfg.LossRate,
-		Impair:         cfg.Impairment,
-		LinkTrace:      cfg.LinkTrace,
-		H3WaitOverhead: cfg.H3WaitOverhead,
-		MissPenalty:    cfg.MissPenalty,
-		MaxEvents:      cfg.MaxEvents,
-		Trace:          tracer,
-	})
-	if err != nil {
-		return nil, nil, CampaignStats{}, nil, err
-	}
-	defer u.Close()
-	shardStats := func() CampaignStats {
-		ns := u.Net.Stats()
-		return CampaignStats{
-			Events:      u.Events(),
-			Recovery:    u.RecoveryStats(),
-			LossDrops:   ns.LossDrops,
-			BurstDrops:  ns.BurstDrops,
-			OutageDrops: ns.OutageDrops,
-			QueueDrops:  ns.QueueDrops,
-			Reordered:   ns.Reordered,
-		}
-	}
-
-	// Chrome-realistic resumption: QUIC 0-RTT on, TLS 1.3 early data
-	// off — a resumed H2 connection still pays the TCP and TLS round
-	// trips (the asymmetry behind §VI-D's consecutive-visit gains).
-	b := u.NewBrowser(browser.Config{
-		Mode:            job.mode,
-		EnableEarlyData: false,
-		EnableZeroRTT:   true,
-		HandshakeCPU:    300 * time.Microsecond,
-		MaxFetchRetries: cfg.FetchRetries,
-	})
-	probeName := job.point.Name + "/" + strconv.Itoa(job.probe)
-
-	// Warm pass (discarded): fills edge caches, as in §III-B.
-	for i := range view.Pages {
-		if err := u.RunVisitDiscard(b, &view.Pages[i]); err != nil {
-			return nil, nil, shardStats(), nil, fmt.Errorf("warm visit: %w", err)
-		}
-		b.ClearSessions()
-	}
-
-	// Streaming aggregation state: every measured visit folds into the
-	// shard accumulator; the retention policy then decides whether its
-	// PageLog survives. The sample reservoir draws from a private
-	// seqrand stream off the shard seed, so which pages are retained is
-	// a pure function of the shard — independent of worker count,
-	// completion order, and every other consumer of shard randomness.
-	acc := sketch.NewAccumulator(sketch.DefaultAlpha)
-	group := acc.Group(sketch.Key{Mode: job.mode.String(), Vantage: job.point.Name})
-	var reservoir *sketch.Reservoir[retainedVisit]
-	if cfg.Retention.Kind == har.RetainSample {
-		seed := seqrand.New(shardSeed(cfg, job)).StreamSeed("retain")
-		reservoir = sketch.NewReservoir[retainedVisit](cfg.Retention.Sample, seed)
-	}
-
-	// Measured pass.
-	var logs []har.PageLog
-	if cfg.Retention.Kind == har.RetainAll {
-		logs = make([]har.PageLog, 0, len(view.Pages))
-	}
-	for i := range view.Pages {
-		log, err := u.RunVisit(b, &view.Pages[i])
-		if err != nil {
-			return nil, nil, shardStats(), nil, fmt.Errorf("measured visit: %w", err)
-		}
-		log.Probe = probeName
-		// Ring overflow degrades AttributeVisit to a suffix sweep whose
-		// spans may be missing their openings. Fall back to the visit's
-		// HAR timings — coarser buckets, but complete — and keep the
-		// Truncated mark so consumers can tell the two apart.
-		var pb *trace.PhaseBreakdown
-		if cfg.TracePhases && len(sPhases) > 0 {
-			pb = &sPhases[len(sPhases)-1]
-			if pb.Truncated {
-				*pb = harPhases(log)
-			}
-		}
-		group.Fold(visitSample(log, pb))
-		switch cfg.Retention.Kind {
-		case har.RetainAll:
-			logs = append(logs, *log)
-		case har.RetainSample:
-			rv := retainedVisit{page: *log}
-			if pb != nil {
-				rv.phase = *pb
-			}
-			reservoir.Offer(rv)
-		case har.RetainNone:
-			// PageLog is dropped here; the fold above already captured it.
-		}
-		if !cfg.Consecutive {
-			b.ClearSessions()
-		}
-	}
-	folded := int64(len(view.Pages))
-	switch cfg.Retention.Kind {
-	case har.RetainSample:
-		items := reservoir.Items()
-		logs = make([]har.PageLog, len(items))
-		if cfg.TracePhases {
-			sPhases = make([]trace.PhaseBreakdown, len(items))
-		}
-		for i, it := range items {
-			logs[i] = it.page
-			if cfg.TracePhases {
-				sPhases[i] = it.phase
-			}
-		}
-	case har.RetainNone:
-		sPhases = nil
-	}
-
-	if qw != nil {
-		if err := qw.Err(); err != nil {
-			return nil, nil, shardStats(), nil, fmt.Errorf("qlog: %w", err)
-		}
-		if err := os.WriteFile(qpath, qbuf.Bytes(), 0o644); err != nil {
-			return nil, nil, shardStats(), nil, fmt.Errorf("qlog: %w", err)
-		}
-	}
-	stats := shardStats()
-	stats.PagesFolded = folded
-	stats.PagesRetained = int64(len(logs))
-	return logs, sPhases, stats, acc, nil
-}
-
-// retainedVisit pairs a retained PageLog with its phase breakdown so a
-// sampled shard keeps Pages and Phases aligned.
-type retainedVisit struct {
-	page  har.PageLog
-	phase trace.PhaseBreakdown
 }
 
 // modeSlug flattens a browsing-mode name into a filename-safe token

@@ -124,9 +124,11 @@ func TestCampaignDeterministic(t *testing.T) {
 	}
 }
 
+// TestCampaignSequentialMatchesParallel compares a one-worker campaign
+// (shards inline on the calling goroutine) with the default pool.
 func TestCampaignSequentialMatchesParallel(t *testing.T) {
 	a := smallCampaign(t, nil)
-	b := smallCampaign(t, func(c *CampaignConfig) { c.Sequential = true })
+	b := smallCampaign(t, func(c *CampaignConfig) { c.Workers = 1 })
 	pa, pb := a.Logs[browser.ModeH3].Pages, b.Logs[browser.ModeH3].Pages
 	for i := range pa {
 		if pa[i].PLT != pb[i].PLT {

@@ -32,8 +32,8 @@ func visitSample(log *har.PageLog, pb *trace.PhaseBreakdown) sketch.VisitSample 
 
 // trafficVisitSample is visitSample plus the edge-cache warmth split
 // population campaigns feed the cold/warm PLT sketches with.
-func trafficVisitSample(log *har.PageLog) sketch.VisitSample {
-	v := visitSample(log, nil)
+func trafficVisitSample(log *har.PageLog, pb *trace.PhaseBreakdown) sketch.VisitSample {
+	v := visitSample(log, pb)
 	v.CacheHits, v.CacheMisses, v.Warm = cacheWarmth(log)
 	return v
 }

@@ -55,7 +55,7 @@ func TestHARInvariantsUnderResumption(t *testing.T) {
 		ProbesPerVantage: 1,
 		Modes:            []browser.Mode{browser.ModeH2, browser.ModeH3},
 		Consecutive:      true,
-		Sequential:       true,
+		Workers:          1,
 	}
 	ds, err := RunCampaign(cfg)
 	if err != nil {

@@ -220,7 +220,7 @@ func TestRetentionWorkerDeterminism(t *testing.T) {
 	} {
 		var ref []byte
 		var refMedian float64
-		for _, workers := range []int{0, 1, 4} {
+		for _, workers := range []int{1, 2, 4} {
 			cfg := CampaignConfig{
 				Seed:             31,
 				CorpusConfig:     webgen.Config{NumPages: 10, MeanResources: 30},
@@ -229,11 +229,7 @@ func TestRetentionWorkerDeterminism(t *testing.T) {
 				PagesPerShard:    4, // 3 shards per probe: exercises multi-shard stitch
 				Retention:        ret,
 			}
-			if workers == 0 {
-				cfg.Sequential = true
-			} else {
-				cfg.Workers = workers
-			}
+			cfg.Workers = workers
 			ds, err := RunCampaign(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -269,19 +265,13 @@ func TestStitchRetainedMixedShards(t *testing.T) {
 		},
 		Phases: map[browser.Mode][]trace.PhaseBreakdown{},
 	}
-	pages := [][]har.PageLog{
-		{{Site: "a1"}, {Site: "a2"}},
-		nil, // an empty-retention shard in the middle
-		{{Site: "c1"}},
-		{{Site: "d1"}},
+	results := []shardResult{
+		{pages: []har.PageLog{{Site: "a1"}, {Site: "a2"}}, phases: []trace.PhaseBreakdown{{Truncated: true}, {}}},
+		{}, // an empty-retention shard in the middle
+		{pages: []har.PageLog{{Site: "c1"}}, phases: []trace.PhaseBreakdown{{}}},
+		{pages: []har.PageLog{{Site: "d1"}}, phases: []trace.PhaseBreakdown{{}}},
 	}
-	phases := [][]trace.PhaseBreakdown{
-		{{Truncated: true}, {}},
-		nil,
-		{{}},
-		{{}},
-	}
-	stitchRetained(ds, jobs, pages, phases)
+	stitchRetained(ds, jobs, results)
 	h2 := ds.Logs[browser.ModeH2].Pages
 	if len(h2) != 3 || h2[0].Site != "a1" || h2[1].Site != "a2" || h2[2].Site != "c1" {
 		t.Fatalf("h2 stitch: %+v", h2)
@@ -293,9 +283,12 @@ func TestStitchRetainedMixedShards(t *testing.T) {
 	if len(ds.Phases[browser.ModeH2]) != 3 || !ds.Phases[browser.ModeH2][0].Truncated {
 		t.Fatalf("h2 phases: %+v", ds.Phases[browser.ModeH2])
 	}
-	// Without phase tracking the phases argument is nil: must not panic.
+	// Without phase tracking the results carry no phases: must not panic.
+	for i := range results {
+		results[i].phases = nil
+	}
 	ds2 := &Dataset{Logs: map[browser.Mode]*har.Log{browser.ModeH2: {}, browser.ModeH3: {}}}
-	stitchRetained(ds2, jobs, pages, nil)
+	stitchRetained(ds2, jobs, results)
 	if len(ds2.Logs[browser.ModeH2].Pages) != 3 {
 		t.Fatal("nil-phase stitch dropped pages")
 	}

@@ -70,16 +70,16 @@ func TestShardDecomposition(t *testing.T) {
 }
 
 // TestShardedSequentialMatchesParallel forces a multi-shard decomposition
-// and asserts that sequential and parallel execution produce
-// byte-identical HAR logs, at several worker counts.
+// and asserts that sequential (one worker, shards inline) and parallel
+// execution produce byte-identical HAR logs, at several worker counts.
 func TestShardedSequentialMatchesParallel(t *testing.T) {
 	shardedCfg := func(c *CampaignConfig) { c.PagesPerShard = 4 }
 	seq := smallCampaign(t, func(c *CampaignConfig) {
 		shardedCfg(c)
-		c.Sequential = true
+		c.Workers = 1
 	})
 	want := harJSON(t, seq)
-	for _, workers := range []int{1, 3} {
+	for _, workers := range []int{2, 3} {
 		par := smallCampaign(t, func(c *CampaignConfig) {
 			shardedCfg(c)
 			c.Workers = workers

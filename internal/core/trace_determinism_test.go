@@ -50,8 +50,8 @@ func hashQlogDir(t *testing.T, dir string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestCampaignGoldenTraces runs the pinned trace campaign sequentially
-// and at two worker counts, and requires every produced qlog file to be
+// TestCampaignGoldenTraces runs the pinned trace campaign at one (inline)
+// and four workers, and requires every produced qlog file to be
 // byte-identical (and equal to the pinned golden) each time. It also
 // checks that every line of every file is valid JSON and that no visit
 // overflowed the event ring.
@@ -63,7 +63,6 @@ func TestCampaignGoldenTraces(t *testing.T) {
 		name string
 		mut  func(*CampaignConfig)
 	}{
-		{"Sequential", func(c *CampaignConfig) { c.Sequential = true }},
 		{"Workers1", func(c *CampaignConfig) { c.Workers = 1 }},
 		{"Workers4", func(c *CampaignConfig) { c.Workers = 4 }},
 	}
@@ -205,7 +204,7 @@ func TestPhaseFallbackOnRingOverflow(t *testing.T) {
 		ProbesPerVantage: 1,
 		TracePhases:      true,
 		TraceRing:        32, // a measured visit emits orders of magnitude more
-		Sequential:       true,
+		Workers:          1,
 	}
 	ds, err := RunCampaign(cfg)
 	if err != nil {

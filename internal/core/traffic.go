@@ -1,9 +1,10 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"time"
@@ -14,56 +15,27 @@ import (
 	"h3cdn/internal/seqrand"
 	"h3cdn/internal/sketch"
 	"h3cdn/internal/traffic"
-	"h3cdn/internal/webgen"
 )
 
-// This file is the open-loop half of the campaign engine: where runShard
-// walks every corpus page twice (warm + measured), runTrafficShard lets a
-// seeded user population decide what gets visited and when. Sessions
+// This file is the population driver of the shard runner (shard.go):
+// where the closed loop walks every corpus page twice (warm + measured),
+// a seeded user population decides what gets visited and when. Sessions
 // arrive by a Poisson process, browse Zipf-popular pages with think
 // times, and contend on shared TTL edge caches — hit rates, resumption
 // fractions, stampedes, and the cold/warm PLT split all emerge rather
-// than being scripted.
-//
-// The shard runs in checkpoint epochs. Each epoch is simulated in a
-// fresh universe whose randomness derives from (shard seed, epoch), so
-// nothing implicit survives an epoch boundary: the only carried state is
-// the explicit set {edge cache dumps, per-user Alt-Svc memory, the
-// campaign clock, counters, metrics, retained logs}. That is exactly
-// what a checkpoint records — which makes a killed-and-resumed run
-// byte-identical to an uninterrupted one by construction, because the
-// uninterrupted run crosses epochs through the very same dump/restore
-// path.
-
-// trafficCheckpointPath names one shard's checkpoint file inside the
-// campaign's checkpoint directory.
-func trafficCheckpointPath(dir string, job shardJob) string {
-	name := fmt.Sprintf("traffic_%s_%s_p%d_s%d.ckpt.json",
-		modeSlug(job.mode), slug(job.point.Name), job.probe, job.shard)
-	return filepath.Join(dir, name)
-}
+// than being scripted. It also holds the epoch checkpoints population
+// shards save and resume from.
 
 // trafficEngine drives one epoch's sessions on one universe. Everything
 // here runs on the universe's scheduler goroutine (browser callbacks and
 // timer events), so plain fields need no synchronization.
 type trafficEngine struct {
-	u      *Universe
-	tc     traffic.Config
-	cfg    CampaignConfig
-	corpus *webgen.Corpus
-	mode   browser.Mode
-	probe  string
-
-	clock  time.Duration // campaign-absolute time of scheduler zero
-	endAbs time.Duration // epoch window end, campaign-absolute
-
+	sh       *shard
+	u        *Universe
+	clock    time.Duration // campaign-absolute time of scheduler zero
+	endAbs   time.Duration // epoch window end, campaign-absolute
 	inFlight int
-	group    *sketch.GroupMetrics
-	counters *traffic.Counters
-	epoch    *traffic.EpochStat
-	userMem  map[int][]string // shard-local user → learned Alt-Svc hosts
-	logs     *[]har.PageLog
-	retain   bool
+	epoch    traffic.EpochStat
 }
 
 // startSession begins one user's browsing session: a fresh browser (TLS
@@ -71,15 +43,9 @@ type trafficEngine struct {
 // seeded with the user's durable memory — the Alt-Svc hosts they learned
 // in previous sessions, which is what lets a returning user open with H3.
 func (en *trafficEngine) startSession(user int, sess *traffic.Session) {
-	en.counters.SessionsStarted++
-	b := en.u.NewBrowser(browser.Config{
-		Mode:            en.mode,
-		EnableEarlyData: false,
-		EnableZeroRTT:   true,
-		HandshakeCPU:    300 * time.Microsecond,
-		MaxFetchRetries: en.cfg.FetchRetries,
-	})
-	b.ImportAltSvc(en.userMem[user])
+	en.sh.rep.Counters.SessionsStarted++
+	b := en.u.NewBrowser(browserConfig(en.sh.cfg, en.sh.job.mode))
+	b.ImportAltSvc(en.sh.userMem[user])
 	en.visit(user, b, sess)
 }
 
@@ -94,25 +60,22 @@ func (en *trafficEngine) visit(user int, b *browser.Browser, sess *traffic.Sessi
 		en.endSession(user, b)
 		return
 	}
-	en.counters.VisitsGenerated++
-	if en.inFlight >= en.tc.MaxInFlight {
+	c := &en.sh.rep.Counters
+	c.VisitsGenerated++
+	if en.inFlight >= en.sh.tc.MaxInFlight {
 		// Open-loop overload: the PoP is saturated, so the visit is shed
 		// (and the user gives up) instead of queueing invisibly.
-		en.counters.VisitsShed++
+		c.VisitsShed++
 		en.endSession(user, b)
 		return
 	}
 	en.inFlight++
-	page := &en.corpus.Pages[sess.NextPage()]
+	page := &en.sh.corpus.Pages[sess.NextPage()]
 	b.Visit(page, func(l *har.PageLog) {
 		en.inFlight--
-		en.counters.VisitsCompleted++
+		en.sh.rep.Counters.VisitsCompleted++
 		en.epoch.Visits++
-		l.Probe = en.probe
-		en.group.Fold(trafficVisitSample(l))
-		if en.retain {
-			*en.logs = append(*en.logs, *l)
-		}
+		en.sh.sink.put(l, nil)
 		sess.VisitsLeft--
 		if sess.VisitsLeft <= 0 {
 			en.endSession(user, b)
@@ -132,240 +95,139 @@ func (en *trafficEngine) visit(user int, b *browser.Browser, sess *traffic.Sessi
 // connection accounting, then closes the browser's connections.
 func (en *trafficEngine) endSession(user int, b *browser.Browser) {
 	if hosts := b.ExportAltSvc(); len(hosts) > 0 {
-		en.userMem[user] = hosts
+		en.sh.userMem[user] = hosts
 	}
 	st := b.Stats()
-	en.counters.ConnsOpened += st.ConnsOpened
-	en.counters.ResumedConns += st.ResumedConns
+	en.sh.rep.Counters.ConnsOpened += st.ConnsOpened
+	en.sh.rep.Counters.ResumedConns += st.ResumedConns
 	b.CloseAll()
 }
 
-// runTrafficShard executes one population shard: the user slice
-// [job.lo, job.hi) browsing the full corpus against this shard's own
-// edges (an independent PoP), for the configured horizon, in checkpoint
-// epochs. Returns the retained visit logs, the shard's execution
-// counters, its metric accumulator, and the traffic report.
-func runTrafficShard(cfg CampaignConfig, topo *Topology, job shardJob) ([]har.PageLog, CampaignStats, *sketch.MetricAccumulator, *traffic.Report, error) {
-	tc := cfg.Traffic.WithDefaults()
-	corpus := topo.Corpus()
-	seed := shardSeed(cfg, job)
-	shardUsers := job.hi - job.lo
-	// The shard offers its population-proportional slice of the load.
-	base := tc.ArrivalRate * float64(shardUsers) / float64(tc.Users)
-	retain := cfg.Retention.Kind == har.RetainAll
+// runArrivals is the population driver: it plays epoch sh.epoch's
+// session arrivals on the universe, drains it to the last straggler, and
+// harvests the epoch's edge-contention counters.
+func (sh *shard) runArrivals(u *Universe) error {
+	tc, e := sh.tc, sh.epoch
+	// The window opens on schedule, never at the previous epoch's drain
+	// instant: sessions overrunning a window finish in universe time
+	// (their cache writes keep those later absolute stamps), but starting
+	// the next window at the drain would serialize the whole shard behind
+	// its single slowest straggler visit, punching arrival-less holes into
+	// the epoch series whenever one page load hits the latency tail.
+	start := time.Duration(e) * tc.EpochInterval
+	end := min(start+tc.EpochInterval, tc.Duration)
+	en := &trafficEngine{sh: sh, u: u, clock: start, endAbs: end, epoch: traffic.EpochStat{Epoch: e}}
+	// Epoch workload: arrivals and session plans are label-derived from
+	// (seed, epoch, arrival index) — independent of everything the
+	// simulation does with them. The shard offers its
+	// population-proportional slice of the load.
+	users := sh.job.hi - sh.job.lo
+	base := tc.ArrivalRate * float64(users) / float64(tc.Users)
+	src := seqrand.New(sh.seed).Sub("traffic")
+	for i, a := range traffic.Arrivals(src, e, base, users, *tc, start, end) {
+		user := a.User
+		sess := traffic.NewSession(
+			src.Stream("session", strconv.Itoa(e), seqrand.Label("a", i)),
+			len(sh.corpus.Pages), *tc)
+		u.Sched.After(a.At-start, func() { en.startSession(user, sess) })
+	}
+	err := u.drain()
+	if err == nil && en.inFlight != 0 {
+		err = fmt.Errorf("%d visits never completed", en.inFlight)
+	}
+	if err != nil {
+		return fmt.Errorf("traffic epoch %d: %w", e, err)
+	}
+	// Edge map iteration order is arbitrary but the sums are commutative
+	// integers.
+	es := &en.epoch
+	for _, edge := range u.edges {
+		es.CacheHits += edge.CacheHits()
+		es.CacheMisses += edge.CacheMisses()
+		es.CacheExpired += edge.CacheExpired()
+		es.Stampedes += edge.Stampedes()
+	}
+	c := &sh.rep.Counters
+	c.CacheHits += es.CacheHits
+	c.CacheMisses += es.CacheMisses
+	c.CacheExpired += es.CacheExpired
+	c.Stampedes += es.Stampedes
+	sh.rep.Epochs = append(sh.rep.Epochs, *es)
+	return nil
+}
 
-	var (
-		startEpoch int
-		clock      time.Duration
-		userMem    = make(map[int][]string)
-		edgeDumps  map[string][]cdn.CacheEntry
-		rep        = &traffic.Report{}
-		acc        = sketch.NewAccumulator(sketch.DefaultAlpha)
-		logs       []har.PageLog
-		stats      CampaignStats
-		ckptPath   string
-	)
-	if tc.CheckpointDir != "" {
-		ckptPath = trafficCheckpointPath(tc.CheckpointDir, job)
-		cp, err := traffic.Load(ckptPath)
-		if err != nil {
-			return nil, stats, nil, nil, err
-		}
-		if cp != nil {
-			if cp.Seed != seed {
-				return nil, stats, nil, nil, fmt.Errorf("core: checkpoint %s was written under seed %d, campaign shard seed is %d", ckptPath, cp.Seed, seed)
-			}
-			startEpoch = cp.Epoch
-			clock = cp.Clock
-			for _, um := range cp.Users {
-				userMem[um.User-job.lo] = um.AltSvc
-			}
-			edgeDumps = make(map[string][]cdn.CacheEntry, len(cp.Edges))
-			for _, ec := range cp.Edges {
-				edgeDumps[ec.Provider] = ec.Entries
-			}
-			*rep = cp.Report
-			if cp.Metrics != nil {
-				acc = cp.Metrics
-			}
-			logs = cp.Logs
-			if len(cp.Stats) > 0 {
-				if err := json.Unmarshal(cp.Stats, &stats); err != nil {
-					return nil, stats, nil, nil, fmt.Errorf("core: checkpoint %s stats: %w", ckptPath, err)
-				}
-			}
+// checkpointDigest hashes every input besides the seed and user range
+// that shapes a population shard's epochs: the traffic shape (minus the
+// checkpoint directory and the halt switch, which only decide where and
+// when a run stops), loss, impairment, retries, server timing, retention
+// and corpus size. A checkpoint written under another digest belongs to
+// another campaign.
+func checkpointDigest(cfg CampaignConfig, tc traffic.Config, pages int) string {
+	tc.CheckpointDir, tc.HaltAfterEpochs = "", 0
+	h := sha256.New()
+	fmt.Fprintf(h, "%+v|%v|%+v|%d|%v|%v|%+v|%d", tc, cfg.LossRate, cfg.Impairment,
+		cfg.FetchRetries, cfg.H3WaitOverhead, cfg.MissPenalty, cfg.Retention, pages)
+	return hex.EncodeToString(h.Sum(nil)[:8])
+}
+
+// resume loads the shard's checkpoint, if one exists, into the shard.
+func (sh *shard) resume() error {
+	cp, err := traffic.Load(sh.ckpt)
+	if err != nil || cp == nil {
+		return err
+	}
+	if cp.Seed != sh.seed || cp.Lo != sh.job.lo || cp.Hi != sh.job.hi || cp.Digest != sh.digest {
+		return fmt.Errorf("core: checkpoint %s was written by another campaign (seed %d, users [%d,%d), config %s; this shard: seed %d, users [%d,%d), config %s)",
+			sh.ckpt, cp.Seed, cp.Lo, cp.Hi, cp.Digest, sh.seed, sh.job.lo, sh.job.hi, sh.digest)
+	}
+	sh.epoch = cp.Epoch
+	for _, um := range cp.Users {
+		sh.userMem[um.User-sh.job.lo] = um.AltSvc
+	}
+	sh.edges = make(map[string][]cdn.CacheEntry, len(cp.Edges))
+	for _, ec := range cp.Edges {
+		sh.edges[ec.Provider] = ec.Entries
+	}
+	*sh.rep = cp.Report
+	if cp.Metrics != nil {
+		sh.acc = cp.Metrics
+	}
+	sh.sink.pages = cp.Logs
+	if len(cp.State) > 0 {
+		st := checkpointState{Stats: &sh.stats, Sample: sh.sink.sample}
+		if err := json.Unmarshal(cp.State, &st); err != nil {
+			return fmt.Errorf("core: checkpoint %s state: %w", sh.ckpt, err)
 		}
 	}
+	return nil
+}
 
-	group := acc.Group(sketch.Key{Mode: job.mode.String(), Vantage: job.point.Name})
-	probeName := job.point.Name + "/" + strconv.Itoa(job.probe)
-	epochs := tc.Epochs()
-	ran := 0
-	for e := startEpoch; e < epochs; e++ {
-		start := time.Duration(e) * tc.EpochInterval
-		end := start + tc.EpochInterval
-		if end > tc.Duration {
-			end = tc.Duration
-		}
-		if clock < start {
-			clock = start
-		}
-		// The epoch's universe seed is a pure function of (shard, epoch),
-		// so replaying epoch e — after a resume or not — replays its
-		// randomness exactly.
-		u, err := NewUniverse(UniverseConfig{
-			Seed:           seqrand.New(seed).StreamSeed("epoch", strconv.Itoa(e)),
-			Corpus:         corpus,
-			Topology:       topo,
-			Vantage:        job.point,
-			LossRate:       cfg.LossRate,
-			Impair:         cfg.Impairment,
-			LinkTrace:      cfg.LinkTrace,
-			H3WaitOverhead: cfg.H3WaitOverhead,
-			MissPenalty:    cfg.MissPenalty,
-			MaxEvents:      cfg.MaxEvents,
-			EdgeTTL:        tc.CacheTTL,
-			ClockOffset:    clock,
-		})
-		if err != nil {
-			return nil, stats, nil, nil, err
-		}
-		// Restore carried cache contents before any visit runs, in sorted
-		// provider order so map iteration cannot leak into the replay.
-		provs := make([]string, 0, len(edgeDumps))
-		for p := range edgeDumps {
-			provs = append(provs, p)
-		}
-		sort.Strings(provs)
-		for _, p := range provs {
-			edge, err := u.WarmEdge(p)
-			if err != nil {
-				u.Close()
-				return nil, stats, nil, nil, err
-			}
-			edge.RestoreCache(edgeDumps[p])
-		}
+// checkpointState is the part of a checkpoint only this package reads:
+// the shard's counters and, under sampled retention, its reservoir.
+type checkpointState struct {
+	Stats  *CampaignStats                   `json:"stats"`
+	Sample *sketch.Reservoir[retainedVisit] `json:"sample,omitempty"`
+}
 
-		es := &traffic.EpochStat{Epoch: e}
-		en := &trafficEngine{
-			u: u, tc: tc, cfg: cfg, corpus: corpus,
-			mode: job.mode, probe: probeName,
-			clock: clock, endAbs: end,
-			group: group, counters: &rep.Counters, epoch: es,
-			userMem: userMem, logs: &logs, retain: retain,
-		}
-
-		// Epoch workload: arrivals and session plans are label-derived
-		// from (seed, epoch, arrival index) — independent of everything
-		// the simulation does with them.
-		src := seqrand.New(seed).Sub("traffic")
-		for i, a := range traffic.Arrivals(src, e, base, shardUsers, tc, start, end) {
-			user := a.User
-			sess := traffic.NewSession(
-				src.Stream("session", strconv.Itoa(e), seqrand.Label("a", i)),
-				len(corpus.Pages), tc)
-			at := a.At - clock
-			if at < 0 {
-				// A long previous epoch overran this arrival's start; it
-				// fires immediately rather than rewinding virtual time.
-				at = 0
-			}
-			u.Sched.After(at, func() { en.startSession(user, sess) })
-		}
-		n, err := u.Sched.Run()
-		stats.Events += int64(n)
-		if err == nil && u.startErr != nil {
-			err = u.startErr
-		}
-		if err == nil && en.inFlight != 0 {
-			err = fmt.Errorf("%d visits never completed", en.inFlight)
-		}
-		if err != nil {
-			u.Close()
-			return nil, stats, nil, nil, fmt.Errorf("traffic epoch %d: %w", e, err)
-		}
-
-		// Harvest the epoch's counters. Edge map iteration order is
-		// arbitrary but the sums are commutative integers.
-		stats.Recovery.Add(u.RecoveryStats())
-		ns := u.Net.Stats()
-		stats.LossDrops += ns.LossDrops
-		stats.BurstDrops += ns.BurstDrops
-		stats.OutageDrops += ns.OutageDrops
-		stats.QueueDrops += ns.QueueDrops
-		stats.Reordered += ns.Reordered
-		stats.PagesFolded += es.Visits
-		for _, edge := range u.edges {
-			es.CacheHits += edge.CacheHits()
-			es.CacheMisses += edge.CacheMisses()
-			es.CacheExpired += edge.CacheExpired()
-			es.Stampedes += edge.Stampedes()
-		}
-		rep.Counters.CacheHits += es.CacheHits
-		rep.Counters.CacheMisses += es.CacheMisses
-		rep.Counters.CacheExpired += es.CacheExpired
-		rep.Counters.Stampedes += es.Stampedes
-		rep.Epochs = append(rep.Epochs, *es)
-
-		// Advance the campaign clock to the window end — never to the
-		// drain time. Sessions overrunning the window finish in universe
-		// time (their cache writes keep those later absolute stamps), but
-		// the next window still opens on schedule: jumping the clock to
-		// the drain instant would serialize the whole shard behind its
-		// single slowest straggler visit, punching arrival-less holes
-		// into the epoch series whenever one page load hits the latency
-		// tail.
-		clock = end
-
-		// Dump caches for the next epoch (and the checkpoint). Expired
-		// entries are carried as-is: the next epoch's edge discovers the
-		// lapse on touch, exactly as a live cache would.
-		names := make([]string, 0, len(u.edges))
-		for nm := range u.edges {
-			names = append(names, nm)
-		}
-		sort.Strings(names)
-		edgeDumps = make(map[string][]cdn.CacheEntry, len(names))
-		for _, nm := range names {
-			if entries := u.edges[nm].DumpCache(); len(entries) > 0 {
-				edgeDumps[nm] = entries
-			}
-		}
-		u.Close()
-
-		if ckptPath != "" {
-			users := make([]traffic.UserMemory, 0, len(userMem))
-			for uidx, hosts := range userMem {
-				users = append(users, traffic.UserMemory{User: job.lo + uidx, AltSvc: hosts})
-			}
-			sort.Slice(users, func(i, j int) bool { return users[i].User < users[j].User })
-			edges := make([]traffic.EdgeCache, 0, len(edgeDumps))
-			for _, nm := range names {
-				if entries, ok := edgeDumps[nm]; ok {
-					edges = append(edges, traffic.EdgeCache{Provider: nm, Entries: entries})
-				}
-			}
-			statsBlob, err := json.Marshal(stats)
-			if err != nil {
-				return nil, stats, nil, nil, fmt.Errorf("traffic checkpoint stats: %w", err)
-			}
-			cp := &traffic.Checkpoint{
-				Seed: seed, Epoch: e + 1, Clock: clock,
-				Users: users, Edges: edges,
-				Report: *rep, Metrics: acc, Logs: logs, Stats: statsBlob,
-			}
-			if err := traffic.Save(ckptPath, cp); err != nil {
-				return nil, stats, nil, nil, err
-			}
-		}
-		ran++
-		if tc.HaltAfterEpochs > 0 && ran >= tc.HaltAfterEpochs && e+1 < epochs {
-			// Deliberate mid-campaign halt (resume-testing kill switch):
-			// the checkpoint just written is the hand-off point.
-			break
-		}
+// save writes the shard's checkpoint after an epoch.
+func (sh *shard) save() error {
+	users := make([]traffic.UserMemory, 0, len(sh.userMem))
+	for uidx, hosts := range sh.userMem {
+		users = append(users, traffic.UserMemory{User: sh.job.lo + uidx, AltSvc: hosts})
 	}
-	stats.Traffic = rep.Counters
-	stats.PagesRetained = int64(len(logs))
-	return logs, stats, acc, rep, nil
+	sort.Slice(users, func(i, j int) bool { return users[i].User < users[j].User })
+	names := sortedKeys(sh.edges)
+	edges := make([]traffic.EdgeCache, len(names))
+	for i, nm := range names {
+		edges[i] = traffic.EdgeCache{Provider: nm, Entries: sh.edges[nm]}
+	}
+	state, err := json.Marshal(checkpointState{Stats: &sh.stats, Sample: sh.sink.sample})
+	if err != nil {
+		return fmt.Errorf("traffic checkpoint state: %w", err)
+	}
+	return traffic.Save(sh.ckpt, &traffic.Checkpoint{
+		Seed: sh.seed, Lo: sh.job.lo, Hi: sh.job.hi, Digest: sh.digest,
+		Epoch: sh.epoch, Users: users, Edges: edges,
+		Report: *sh.rep, Metrics: sh.acc, Logs: sh.sink.pages, State: state,
+	})
 }

@@ -1,9 +1,8 @@
 package core
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -33,22 +32,26 @@ func smallTraffic() *traffic.Config {
 // trafficCampaign runs a reduced population campaign.
 func trafficCampaign(t *testing.T, mutate func(*CampaignConfig)) *Dataset {
 	t.Helper()
+	ds, err := RunCampaign(trafficCampaignConfig(mutate))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+func trafficCampaignConfig(mutate func(*CampaignConfig)) CampaignConfig {
 	cfg := CampaignConfig{
 		Seed:             7,
 		CorpusConfig:     webgen.Config{NumPages: 12, MeanResources: 20},
 		Vantages:         vantage.Points()[:1],
 		ProbesPerVantage: 1,
 		Traffic:          smallTraffic(),
-		Sequential:       true,
+		Workers:          1,
 	}
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	ds, err := RunCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ds
+	return cfg
 }
 
 func TestTrafficCampaignEndToEnd(t *testing.T) {
@@ -169,9 +172,6 @@ func TestTrafficRejectsIncompatibleConfigs(t *testing.T) {
 		{"consecutive", func(c *CampaignConfig) { c.Consecutive = true }},
 		{"trace-phases", func(c *CampaignConfig) { c.TracePhases = true }},
 		{"qlog", func(c *CampaignConfig) { c.QlogDir = t.TempDir() }},
-		{"sampled-retention", func(c *CampaignConfig) {
-			c.Retention = har.Retention{Kind: har.RetainSample, Sample: 4}
-		}},
 		{"bad-traffic", func(c *CampaignConfig) { c.Traffic.Users = -1 }},
 	}
 	for _, tc := range cases {
@@ -186,76 +186,6 @@ func TestTrafficRejectsIncompatibleConfigs(t *testing.T) {
 				t.Fatal("incompatible traffic campaign accepted")
 			}
 		})
-	}
-}
-
-// goldenTrafficSHA256 pins the exact dataset bytes of the reference
-// population campaign (seed 2022, 24 pages, two vantages, 48 users split
-// into 20-user shards, three epochs) — the open-loop counterpart of
-// goldenDatasetSHA256. Any change to arrival generation, session plans,
-// TTL cache semantics, single-flight collapsing, or the epoch hand-off
-// perturbs these bytes.
-const goldenTrafficSHA256 = "7871aefa6f5bbdd3f24e9464603409f73110d6830be7d51c92c3fd5aa1ad4251"
-
-// TestTrafficGoldenDataset runs the pinned population campaign
-// sequentially and at two worker counts, asserting byte-identity.
-func TestTrafficGoldenDataset(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-shard population campaign; skipped with -short")
-	}
-	variants := []struct {
-		name string
-		mut  func(*CampaignConfig)
-	}{
-		{"Sequential", func(c *CampaignConfig) { c.Sequential = true }},
-		{"Workers1", func(c *CampaignConfig) { c.Workers = 1 }},
-		{"Workers4", func(c *CampaignConfig) { c.Workers = 4 }},
-	}
-	var ref *Dataset
-	for _, v := range variants {
-		t.Run(v.name, func(t *testing.T) {
-			cfg := goldenTrafficConfig()
-			v.mut(&cfg)
-			ds, err := RunCampaign(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum := sha256.Sum256(harJSON(t, ds))
-			if got := hex.EncodeToString(sum[:]); got != goldenTrafficSHA256 {
-				t.Fatalf("dataset hash %s, want golden %s", got, goldenTrafficSHA256)
-			}
-			if ref == nil {
-				ref = ds
-			} else {
-				// The emergent outputs are part of the deterministic
-				// contract too, at every worker count.
-				if !reflect.DeepEqual(ds.Traffic, ref.Traffic) {
-					t.Fatalf("traffic report differs across worker counts:\n%+v\n%+v", ds.Traffic, ref.Traffic)
-				}
-				if !accJSONEqual(t, ds, ref) {
-					t.Fatal("metric accumulator differs across worker counts")
-				}
-			}
-		})
-	}
-}
-
-func goldenTrafficConfig() CampaignConfig {
-	return CampaignConfig{
-		Seed:             2022,
-		CorpusConfig:     webgen.Config{NumPages: 24, MeanResources: 12},
-		Vantages:         vantage.Points()[:2],
-		ProbesPerVantage: 1,
-		Traffic: &traffic.Config{
-			Users:         48,
-			UsersPerShard: 20,
-			ArrivalRate:   2,
-			Duration:      30 * time.Second,
-			EpochInterval: 10 * time.Second,
-			CacheTTL:      15 * time.Second,
-			ThinkTime:     2 * time.Second,
-			SessionVisits: 3,
-		},
 	}
 }
 
@@ -355,5 +285,49 @@ func TestTrafficCheckpointResume(t *testing.T) {
 	again := trafficCampaign(t, withCkpt)
 	if got := harJSON(t, again); string(got) != string(want) {
 		t.Fatal("re-run after completion differs")
+	}
+}
+
+// TestTrafficCheckpointRejectsOtherConfig halts a population campaign
+// after its first epoch and resumes it under a changed shape. Each
+// resume must fail, naming the checkpoint file and the shard's user
+// range, instead of folding the saved state into a different campaign.
+func TestTrafficCheckpointRejectsOtherConfig(t *testing.T) {
+	cases := []struct {
+		name          string
+		first, resume func(*traffic.Config)
+	}{
+		{"epoch-and-rate", nil, func(tc *traffic.Config) {
+			tc.EpochInterval = 5 * time.Second
+			tc.ArrivalRate = 8
+		}},
+		// Shard [0,40) must not load the user memory of shard [0,20).
+		{"users-per-shard",
+			func(tc *traffic.Config) { tc.UsersPerShard = 20 },
+			func(tc *traffic.Config) { tc.UsersPerShard = 40 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			withCkpt := func(mut func(*traffic.Config)) func(*CampaignConfig) {
+				return func(c *CampaignConfig) {
+					c.Traffic.CheckpointDir = dir
+					c.Traffic.HaltAfterEpochs = 1
+					if mut != nil {
+						mut(c.Traffic)
+					}
+				}
+			}
+			trafficCampaign(t, withCkpt(tc.first))
+			_, err := RunCampaign(trafficCampaignConfig(withCkpt(tc.resume)))
+			if err == nil {
+				t.Fatal("resume under a different config accepted")
+			}
+			for _, want := range []string{filepath.Join(dir, "traffic_"), "users [0,"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("error %q does not name %q", err, want)
+				}
+			}
+		})
 	}
 }

@@ -71,8 +71,8 @@ type UniverseConfig struct {
 	// zero keeps the legacy infinite-TTL edge behavior.
 	EdgeTTL time.Duration
 	// ClockOffset shifts the edges' notion of absolute time: entry expiry
-	// stamps read Sched.Now()+ClockOffset. Traffic campaigns run each
-	// checkpoint epoch in a fresh universe and set this to the epoch's
+	// stamps read Sched.Now()+ClockOffset. Population shards run each
+	// epoch in a fresh universe and set this to the epoch's
 	// campaign-absolute start, so cache dumps carry across universes.
 	ClockOffset time.Duration
 	// MaxEvents bounds one scheduler run. Default 200M.
@@ -125,8 +125,8 @@ type Universe struct {
 	edges    map[string]*cdn.Edge            // by provider name
 	servers  map[simnet.Addr]*httpsim.Server // instantiated so far
 	resolver browser.Resolver
-	startErr error // first lazy StartServer failure, surfaced by RunVisit
-	events   int64 // scheduler events executed across RunVisit calls
+	startErr error // first lazy StartServer failure, surfaced by drain
+	events   int64 // scheduler events executed across drain calls
 	recovery simnet.RecoveryStats
 
 	// pools is the universe-wide allocation arena shared by every
@@ -352,11 +352,6 @@ func (u *Universe) WarmEdge(provider string) (*cdn.Edge, error) {
 	return u.edges[provider], nil
 }
 
-// Events reports the total scheduler events executed by RunVisit calls
-// on this universe — the simulator's unit of work, cheap to aggregate
-// into a campaign-level events/sec throughput readout.
-func (u *Universe) Events() int64 { return u.events }
-
 // Close shuts down all servers.
 func (u *Universe) Close() {
 	for _, s := range u.servers {
@@ -364,10 +359,22 @@ func (u *Universe) Close() {
 	}
 }
 
-// RecoveryStats returns a snapshot of the loss-recovery counters
-// accumulated by browsers created via NewBrowser (and the transports
-// underneath them) in this universe.
-func (u *Universe) RecoveryStats() simnet.RecoveryStats { return u.recovery }
+// stats harvests the universe's execution counters: the scheduler
+// events drain has executed (the simulator's unit of work), the
+// loss-recovery activity of browsers created via NewBrowser and the
+// transports underneath them, and the network's drop counters.
+func (u *Universe) stats() CampaignStats {
+	ns := u.Net.Stats()
+	return CampaignStats{
+		Events:      u.events,
+		Recovery:    u.recovery,
+		LossDrops:   ns.LossDrops,
+		BurstDrops:  ns.BurstDrops,
+		OutageDrops: ns.OutageDrops,
+		QueueDrops:  ns.QueueDrops,
+		Reordered:   ns.Reordered,
+	}
+}
 
 // NewBrowser creates a page loader on the probe host. Unless the config
 // carries its own Recovery sink, the browser and its transports feed the
@@ -390,6 +397,17 @@ func (u *Universe) NewBrowser(cfg browser.Config) *browser.Browser {
 // checks); treat it as owned by the universe's scheduler goroutine.
 func (u *Universe) Pools() *httpsim.Pools { return &u.pools }
 
+// drain runs the scheduler until nothing is pending, counting the
+// events it executes, and surfaces the first lazy server start failure.
+func (u *Universe) drain() error {
+	n, err := u.Sched.Run()
+	u.events += int64(n)
+	if err == nil {
+		err = u.startErr
+	}
+	return err
+}
+
 // RunVisit drives one page load to completion and returns its log. When
 // the universe carries a tracer, the visit's events are recorded between
 // BeginVisit and EndVisit and flushed to the tracer's sink on success.
@@ -400,15 +418,9 @@ func (u *Universe) RunVisit(b *browser.Browser, page *webgen.Page) (*har.PageLog
 		result = l
 		b.CloseAll()
 	})
-	n, err := u.Sched.Run()
-	u.events += int64(n)
-	if err != nil {
+	if err := u.drain(); err != nil {
 		u.cfg.Trace.Abort()
 		return nil, fmt.Errorf("core: visit %s: %w", page.Site, err)
-	}
-	if u.startErr != nil {
-		u.cfg.Trace.Abort()
-		return nil, fmt.Errorf("core: visit %s: %w", page.Site, u.startErr)
 	}
 	if result == nil {
 		u.cfg.Trace.Abort()
@@ -431,13 +443,8 @@ func (u *Universe) RunVisitDiscard(b *browser.Browser, page *webgen.Page) error 
 		completed = true
 		b.CloseAll()
 	})
-	n, err := u.Sched.Run()
-	u.events += int64(n)
-	if err != nil {
+	if err := u.drain(); err != nil {
 		return fmt.Errorf("core: visit %s: %w", page.Site, err)
-	}
-	if u.startErr != nil {
-		return fmt.Errorf("core: visit %s: %w", page.Site, u.startErr)
 	}
 	if !completed {
 		return fmt.Errorf("core: visit %s never completed", page.Site)

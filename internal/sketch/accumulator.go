@@ -62,33 +62,33 @@ type VisitSample struct {
 type GroupMetrics struct {
 	alpha float64
 
-	Pages    uint64
-	PLT      *Quantile  // ms
-	PLTHist  *Histogram // ms, DefaultPLTBoundsMs
-	PLTSumNs int64
+	Pages    uint64     `json:"pages"`
+	PLT      *Quantile  `json:"plt"`     // ms
+	PLTHist  *Histogram `json:"pltHist"` // ms, DefaultPLTBoundsMs
+	PLTSumNs int64      `json:"pltSumNs"`
 
-	Bytes   Counter
-	Entries Counter
-	Failed  Counter
-	Retries Counter
-	Reused  Counter
-	Resumed Counter
+	Bytes   Counter `json:"bytes"`
+	Entries Counter `json:"entries"`
+	Failed  Counter `json:"failed,omitempty"`
+	Retries Counter `json:"retries,omitempty"`
+	Reused  Counter `json:"reused,omitempty"`
+	Resumed Counter `json:"resumed,omitempty"`
 
 	// Cache-warmth aggregates cover only visits whose samples carried
 	// cache classification (population-traffic campaigns): entry-level
 	// edge hit/miss totals plus the visit-level cold/warm PLT split.
-	CacheHits   Counter
-	CacheMisses Counter
-	ColdPages   uint64
-	WarmPages   uint64
-	PLTCold     *Quantile // ms
-	PLTWarm     *Quantile // ms
+	CacheHits   Counter   `json:"cacheHits,omitempty"`
+	CacheMisses Counter   `json:"cacheMisses,omitempty"`
+	ColdPages   uint64    `json:"coldPages,omitempty"`
+	WarmPages   uint64    `json:"warmPages,omitempty"`
+	PLTCold     *Quantile `json:"pltCold,omitempty"` // ms
+	PLTWarm     *Quantile `json:"pltWarm,omitempty"` // ms
 
 	// Phase aggregates cover only visits that carried a PhaseSample.
-	PhasePages     uint64
-	PhaseSumNs     [NumPhases]int64
-	Phase          [NumPhases]*Quantile // ms
-	PhaseTruncated uint64
+	PhasePages     uint64               `json:"phasePages,omitempty"`
+	PhaseSumNs     [NumPhases]int64     `json:"phaseSumNs"`
+	Phase          [NumPhases]*Quantile `json:"phase"` // ms
+	PhaseTruncated uint64               `json:"phaseTruncated,omitempty"`
 }
 
 func newGroupMetrics(alpha float64) *GroupMetrics {

@@ -91,96 +91,35 @@ func (h *Histogram) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// groupMetricsJSON mirrors GroupMetrics with the unexported α exposed.
-type groupMetricsJSON struct {
+// groupMetricsJSON is GroupMetrics without its methods, so encoding its
+// tagged fields does not recurse into MarshalJSON.
+type groupMetricsJSON GroupMetrics
+
+// groupJSON is one group's wire form: the unexported α first, then the
+// exported fields.
+type groupJSON struct {
 	Alpha float64 `json:"alpha"`
-
-	Pages    uint64     `json:"pages"`
-	PLT      *Quantile  `json:"plt"`
-	PLTHist  *Histogram `json:"pltHist"`
-	PLTSumNs int64      `json:"pltSumNs"`
-
-	Bytes   Counter `json:"bytes"`
-	Entries Counter `json:"entries"`
-	Failed  Counter `json:"failed,omitempty"`
-	Retries Counter `json:"retries,omitempty"`
-	Reused  Counter `json:"reused,omitempty"`
-	Resumed Counter `json:"resumed,omitempty"`
-
-	CacheHits   Counter   `json:"cacheHits,omitempty"`
-	CacheMisses Counter   `json:"cacheMisses,omitempty"`
-	ColdPages   uint64    `json:"coldPages,omitempty"`
-	WarmPages   uint64    `json:"warmPages,omitempty"`
-	PLTCold     *Quantile `json:"pltCold,omitempty"`
-	PLTWarm     *Quantile `json:"pltWarm,omitempty"`
-
-	PhasePages     uint64               `json:"phasePages,omitempty"`
-	PhaseSumNs     [NumPhases]int64     `json:"phaseSumNs"`
-	Phase          [NumPhases]*Quantile `json:"phase"`
-	PhaseTruncated uint64               `json:"phaseTruncated,omitempty"`
+	*groupMetricsJSON
 }
 
 // MarshalJSON encodes one group's aggregates.
 func (g *GroupMetrics) MarshalJSON() ([]byte, error) {
-	return json.Marshal(groupMetricsJSON{
-		Alpha:          g.alpha,
-		Pages:          g.Pages,
-		PLT:            g.PLT,
-		PLTHist:        g.PLTHist,
-		PLTSumNs:       g.PLTSumNs,
-		Bytes:          g.Bytes,
-		Entries:        g.Entries,
-		Failed:         g.Failed,
-		Retries:        g.Retries,
-		Reused:         g.Reused,
-		Resumed:        g.Resumed,
-		CacheHits:      g.CacheHits,
-		CacheMisses:    g.CacheMisses,
-		ColdPages:      g.ColdPages,
-		WarmPages:      g.WarmPages,
-		PLTCold:        g.PLTCold,
-		PLTWarm:        g.PLTWarm,
-		PhasePages:     g.PhasePages,
-		PhaseSumNs:     g.PhaseSumNs,
-		Phase:          g.Phase,
-		PhaseTruncated: g.PhaseTruncated,
-	})
+	return json.Marshal(groupJSON{g.alpha, (*groupMetricsJSON)(g)})
 }
 
 // UnmarshalJSON decodes into g, replacing its state entirely. Sketches
 // absent from the encoding (omitempty nils) come back empty, not nil,
 // so the decoded group merges and folds like any other.
 func (g *GroupMetrics) UnmarshalJSON(data []byte) error {
-	var j groupMetricsJSON
+	*g = GroupMetrics{}
+	j := groupJSON{groupMetricsJSON: (*groupMetricsJSON)(g)}
 	if err := json.Unmarshal(data, &j); err != nil {
 		return err
 	}
 	if j.Alpha <= 0 || j.Alpha >= 1 || math.IsNaN(j.Alpha) {
 		return fmt.Errorf("sketch: group alpha %v out of range", j.Alpha)
 	}
-	*g = GroupMetrics{
-		alpha:          j.Alpha,
-		Pages:          j.Pages,
-		PLT:            j.PLT,
-		PLTHist:        j.PLTHist,
-		PLTSumNs:       j.PLTSumNs,
-		Bytes:          j.Bytes,
-		Entries:        j.Entries,
-		Failed:         j.Failed,
-		Retries:        j.Retries,
-		Reused:         j.Reused,
-		Resumed:        j.Resumed,
-		CacheHits:      j.CacheHits,
-		CacheMisses:    j.CacheMisses,
-		ColdPages:      j.ColdPages,
-		WarmPages:      j.WarmPages,
-		PLTCold:        j.PLTCold,
-		PLTWarm:        j.PLTWarm,
-		PhasePages:     j.PhasePages,
-		PhaseSumNs:     j.PhaseSumNs,
-		Phase:          j.Phase,
-		PhaseTruncated: j.PhaseTruncated,
-	}
+	g.alpha = j.Alpha
 	if g.PLT == nil {
 		g.PLT = NewQuantile(j.Alpha)
 	}

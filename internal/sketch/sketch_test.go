@@ -254,8 +254,8 @@ func TestReservoirDeterministicAndOrdered(t *testing.T) {
 	if got := small.Items(); !reflect.DeepEqual(got, []int{0, 1, 2}) {
 		t.Fatalf("underfull sample %v", got)
 	}
-	if small.Seen() != 3 {
-		t.Fatalf("seen %d", small.Seen())
+	if small.Seen != 3 {
+		t.Fatalf("seen %d", small.Seen)
 	}
 	// Zero capacity retains nothing and never panics.
 	zero := NewReservoir[int](0, 5)
@@ -264,6 +264,34 @@ func TestReservoirDeterministicAndOrdered(t *testing.T) {
 	}
 	if zero.Len() != 0 {
 		t.Fatalf("zero-capacity reservoir holds %d items", zero.Len())
+	}
+}
+
+// TestReservoirResume stops a reservoir midway, round-trips it through
+// JSON, and requires the finished sample to match an uninterrupted run:
+// the checkpointed-shard contract.
+func TestReservoirResume(t *testing.T) {
+	whole := NewReservoir[int](8, 42)
+	half := NewReservoir[int](8, 42)
+	for i := 0; i < 1000; i++ {
+		whole.Offer(i)
+		if i < 500 {
+			half.Offer(i)
+		}
+	}
+	blob, err := json.Marshal(half)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resumed Reservoir[int]
+	if err := json.Unmarshal(blob, &resumed); err != nil {
+		t.Fatal(err)
+	}
+	for i := 500; i < 1000; i++ {
+		resumed.Offer(i)
+	}
+	if !reflect.DeepEqual(resumed.Items(), whole.Items()) || resumed.Seen != whole.Seen {
+		t.Fatalf("resumed sample %v, uninterrupted %v", resumed.Items(), whole.Items())
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"time"
 
 	"h3cdn/internal/cdn"
 	"h3cdn/internal/har"
@@ -13,7 +12,7 @@ import (
 
 // CheckpointVersion guards the on-disk format; a mismatch fails the
 // load rather than resuming from state with different semantics.
-const CheckpointVersion = 1
+const CheckpointVersion = 2
 
 // UserMemory is one user's durable cross-session state — just the
 // learned Alt-Svc hosts. Users with nothing learned are omitted
@@ -34,29 +33,35 @@ type EdgeCache struct {
 // uninterrupted run byte-for-byte: epochs run in fresh universes whose
 // randomness is derived from (seed, epoch), so the only state that
 // crosses the boundary is exactly what is recorded here — caches, user
-// memory, the clock, and the accumulated results.
+// memory, and the accumulated results.
 type Checkpoint struct {
 	Version int    `json:"version"`
 	Seed    uint64 `json:"seed"`
+	// Lo and Hi are the shard's user range [Lo, Hi), and Digest hashes
+	// every other input that shapes its epochs. A resume under a
+	// different range or digest is refused: the state would belong to
+	// another campaign.
+	Lo     int    `json:"lo"`
+	Hi     int    `json:"hi"`
+	Digest string `json:"digest"`
 	// Epoch is the next epoch to run (epochs [0, Epoch) are folded in).
 	Epoch int `json:"epoch"`
-	// Clock is the campaign-absolute virtual time the next epoch starts
-	// at (≥ Epoch·EpochInterval when an epoch ran long).
-	Clock time.Duration `json:"clock"`
 
 	Users  []UserMemory `json:"users,omitempty"`
 	Edges  []EdgeCache  `json:"edges,omitempty"`
 	Report Report       `json:"report"`
 
-	// Accumulated results so far: the shard's metric accumulator and
-	// whatever PageLogs the retention policy kept.
+	// Accumulated results so far: the shard's metric accumulator and,
+	// under RetainAll, every PageLog (a sampled shard's reservoir rides
+	// in State).
 	Metrics *sketch.MetricAccumulator `json:"metrics"`
 	Logs    []har.PageLog             `json:"logs,omitempty"`
 
-	// Stats carries the shard's engine counters (events, drops,
-	// recovery) accumulated over completed epochs, opaque to this
-	// package (internal/core owns the struct).
-	Stats json.RawMessage `json:"stats,omitempty"`
+	// State carries the shard's engine counters (events, drops,
+	// recovery) accumulated over completed epochs and its
+	// sampled-retention reservoir, opaque to this package (internal/core
+	// owns the types).
+	State json.RawMessage `json:"state,omitempty"`
 }
 
 // Save writes the checkpoint atomically (temp file + rename), so a kill

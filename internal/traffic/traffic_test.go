@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -186,10 +187,12 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		PLTNs: 7e8, Entries: 12, CacheHits: 9, CacheMisses: 3, Warm: true,
 	})
 	cp := &Checkpoint{
-		Seed:  99,
-		Epoch: 3,
-		Clock: 90 * time.Second,
-		Users: []UserMemory{{User: 4, AltSvc: []string{"a.cdn", "b.cdn"}}},
+		Seed:   99,
+		Lo:     40,
+		Hi:     60,
+		Digest: "d1",
+		Epoch:  3,
+		Users:  []UserMemory{{User: 4, AltSvc: []string{"a.cdn", "b.cdn"}}},
 		Edges: []EdgeCache{{Provider: "Cloudflare", Entries: []cdn.CacheEntry{
 			{Host: "a.cdn", Path: "/x", ExpiresAt: 95 * time.Second},
 		}}},
@@ -199,6 +202,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		},
 		Metrics: acc,
 		Logs:    []har.PageLog{{Site: "s.sim", Protocol: "h3", PLT: 700 * time.Millisecond}},
+		State:   json.RawMessage(`{"seen":7}`),
 	}
 	if err := Save(path, cp); err != nil {
 		t.Fatal(err)
@@ -210,8 +214,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Epoch != 3 || back.Clock != 90*time.Second || back.Seed != 99 {
-		t.Fatalf("clock state lost: %+v", back)
+	if back.Epoch != 3 || back.Seed != 99 || back.Lo != 40 || back.Hi != 60 || back.Digest != "d1" {
+		t.Fatalf("shard identity lost: %+v", back)
+	}
+	if string(back.State) != `{"seen":7}` {
+		t.Fatalf("shard state lost: %s", back.State)
 	}
 	if !reflect.DeepEqual(back.Users, cp.Users) || !reflect.DeepEqual(back.Edges, cp.Edges) {
 		t.Fatal("user/edge state lost")
